@@ -16,8 +16,8 @@ use perfmodel::{
     UnitSize,
 };
 use provision::{
-    execute_plan_observed, execute_plan_resilient_observed, make_plan, DegradedReport,
-    ExecutionConfig, ExecutionReport, RetryPolicy, StagingTier, Strategy,
+    execute_plan_resilient_sourced, make_plan, DegradedReport, ExecutionConfig, ExecutionReport,
+    FreshFleet, RetryPolicy, StagingTier, Strategy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -431,23 +431,18 @@ impl Pipeline {
         };
         // The executor emits the `pipeline.execute` span itself: the fleet
         // runs on per-instance event timelines, and only the executor knows
-        // the last simulated finish time.
-        let (execution, degraded) = if self.config.faults.is_some() {
-            let report = execute_plan_resilient_observed(
-                &mut cloud,
-                &plan,
-                model,
-                &exec_cfg,
-                &self.config.retry,
-                obs,
-            )?;
-            (report.execution.clone(), Some(report))
-        } else {
-            (
-                execute_plan_observed(&mut cloud, &plan, model, &exec_cfg, obs)?,
-                None,
-            )
-        };
+        // the last simulated finish time. Fault accounting is reported only
+        // when faults were injected.
+        let report = execute_plan_resilient_sourced(
+            &mut cloud,
+            &plan,
+            model,
+            &exec_cfg,
+            &self.config.retry,
+            &mut FreshFleet,
+            obs,
+        )?;
+        let degraded = self.config.faults.is_some().then(|| report.clone());
 
         Ok(PipelineReport {
             unit,
@@ -457,7 +452,7 @@ impl Pipeline {
             base_fit: base_for_report,
             planned_instances: plan.instance_count(),
             predicted_makespan_secs: plan.predicted_makespan(),
-            execution,
+            execution: report.execution,
             screening_attempts: attempts,
             degraded,
         })

@@ -11,6 +11,7 @@
 //! latter reproduces the paper's own adjusted deadlines D=3600 → 3124 and
 //! D=7200 → 6247).
 
+use crate::regression::Fit;
 use crate::stats;
 use serde::{Deserialize, Serialize};
 
@@ -110,6 +111,13 @@ pub fn adjusted_deadline(deadline: f64, a: f64) -> f64 {
     } else {
         deadline / scale
     }
+}
+
+/// The adjusted deadline for a fitted model at miss probability
+/// `p_miss`: `D / (1 + a)` with `a` from the fit's relative residuals.
+pub fn adjusted_for(fit: &Fit, deadline_secs: f64, p_miss: f64) -> f64 {
+    let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
+    adjusted_deadline(deadline_secs, adjustment_factor(&res, p_miss))
 }
 
 #[cfg(test)]

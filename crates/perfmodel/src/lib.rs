@@ -29,7 +29,9 @@ pub mod stats;
 pub mod weighted;
 
 pub use crossval::{cross_validate, select_by_cross_validation, CvScore};
-pub use deadline::{adjusted_deadline, adjustment_factor, inverse_normal_cdf, ResidualStats};
+pub use deadline::{
+    adjusted_deadline, adjusted_for, adjustment_factor, inverse_normal_cdf, ResidualStats,
+};
 pub use probe::{
     build_probe_chain, build_probe_chain_par, choose_unit_size, ProbeCampaign, ProbePoint,
     ProbeSetResult, UnitSize,

@@ -6,7 +6,7 @@
 //! nature of EBS storage volumes ... replacing poorly performing instances
 //! can be done easily without explicit data transfers."
 
-use crate::executor::{ExecutionConfig, ExecutionReport, InstanceRun};
+use crate::executor::{launch, ExecutionConfig, ExecutionReport, InstanceRun};
 use crate::plan::Plan;
 use crate::pricing::instance_hours;
 use ec2sim::{Cloud, CloudError, DataLocation};
@@ -121,7 +121,7 @@ pub fn execute_dynamic(
     for share in &plan.instances {
         // Stage the whole share on one persistent volume.
         let vol = cloud.create_volume(cfg.zone, share.volume.max(1));
-        let mut inst = cloud.launch(cfg.itype, cfg.zone)?;
+        let mut inst = launch(cloud, cfg)?;
         let mut t = cloud.running_at(inst)? + attach;
         cloud.attach_volume_at(vol, inst, t - attach)?;
         let t_job_start = t;
@@ -155,7 +155,7 @@ pub fn execute_dynamic(
                 // the volume — no data transfer (the EBS persistence
                 // argument of §7).
                 cloud.terminate_at(inst, t)?;
-                inst = cloud.launch(cfg.itype, cfg.zone)?;
+                inst = launch(cloud, cfg)?;
                 let boot = cloud.running_at(inst)?;
                 t = t.max(boot) + attach;
                 cloud.attach_volume_at(vol, inst, t - attach)?;
@@ -175,18 +175,9 @@ pub fn execute_dynamic(
         });
     }
 
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count();
-    let hours: u64 = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
+    let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
     Ok(DynamicReport {
-        execution: ExecutionReport {
-            deadline_secs: plan.deadline_secs,
-            makespan_secs,
-            misses,
-            instance_hours: hours,
-            cost: hours as f64 * cfg.pricing.hourly_rate,
-            runs,
-        },
+        execution: ExecutionReport::summarize(runs, plan.deadline_secs, 0, hours, cfg),
         replacements: replacements_total,
     })
 }

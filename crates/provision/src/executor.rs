@@ -3,7 +3,7 @@
 //! staged onto EBS storage volumes") or local storage (the POS setup:
 //! "staged onto local storage in a constant time per run").
 
-use crate::plan::Plan;
+use crate::plan::{InstancePlan, Plan};
 use crate::pricing::{instance_hours, PricingModel};
 use corpus::FileSpec;
 use ec2sim::{screen_at, Cloud, CloudError, DataLocation, InstanceId, RunReport, ScreeningPolicy};
@@ -111,6 +111,26 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// The fleet summary every executor reports: the makespan is the
+    /// slowest run, a miss is a late run or one of the `unfinished`
+    /// shares, and the bill is `instance_hours × cfg.hourly_rate()`.
+    pub(crate) fn summarize(
+        runs: Vec<InstanceRun>,
+        deadline_secs: f64,
+        unfinished: usize,
+        instance_hours: u64,
+        cfg: &ExecutionConfig,
+    ) -> Self {
+        ExecutionReport {
+            deadline_secs,
+            makespan_secs: runs.iter().map(|r| r.job_secs).fold(0.0, f64::max),
+            misses: runs.iter().filter(|r| !r.met_deadline).count() + unfinished,
+            instance_hours,
+            cost: instance_hours as f64 * cfg.hourly_rate(),
+            runs,
+        }
+    }
+
     /// True when no instance missed.
     pub fn met_deadline(&self) -> bool {
         self.misses == 0
@@ -183,6 +203,16 @@ impl FleetSource for FreshFleet {
     }
 }
 
+/// Launch one fleet instance as `cfg` asks: through its instance family
+/// (at the override rate when one is set), else as a plain `cfg.itype`.
+pub(crate) fn launch(cloud: &mut Cloud, cfg: &ExecutionConfig) -> Result<InstanceId, CloudError> {
+    match (cfg.family, cfg.rate_override) {
+        (Some(f), Some(rate)) => cloud.launch_family_priced(&f, cfg.zone, rate),
+        (Some(f), None) => cloud.launch_family(&f, cfg.zone),
+        (None, _) => cloud.launch(cfg.itype, cfg.zone),
+    }
+}
+
 /// Launch one fleet instance, optionally screening it with bonnie first
 /// (up to 16 candidates; rejects are terminated while still free). This is
 /// the cold path used by [`FreshFleet`] and by warm pools on a pool miss.
@@ -190,13 +220,8 @@ pub fn acquire_instance(
     cloud: &mut Cloud,
     cfg: &ExecutionConfig,
 ) -> Result<(InstanceId, f64), CloudError> {
-    let launch = |cloud: &mut Cloud| match (cfg.family, cfg.rate_override) {
-        (Some(f), Some(rate)) => cloud.launch_family_priced(&f, cfg.zone, rate),
-        (Some(f), None) => cloud.launch_family(&f, cfg.zone),
-        (None, _) => cloud.launch(cfg.itype, cfg.zone),
-    };
     if !cfg.screen {
-        let inst = launch(cloud)?;
+        let inst = launch(cloud, cfg)?;
         let ready = cloud.running_at(inst)?;
         return Ok((inst, ready));
     }
@@ -204,7 +229,7 @@ pub fn acquire_instance(
     let mut not_before = 0.0f64;
     let mut last = None;
     for _ in 0..policy.max_attempts {
-        let inst = launch(cloud)?;
+        let inst = launch(cloud, cfg)?;
         let (passed, ready) = screen_at(cloud, inst, &policy)?;
         let ready = ready.max(not_before);
         if passed {
@@ -232,8 +257,9 @@ pub fn execute_plan(
 
 /// [`execute_plan`] with an observability sink: emits a per-bin
 /// `execute.share` span (on the instance's simulated timeline), byte and
-/// job-time metrics, and fleet-level gauges. With the default no-op sink
-/// this is exactly `execute_plan`.
+/// job-time metrics, and fleet-level gauges. It is the fleet summary of
+/// [`execute_plan_resilient_sourced`] on a fresh fleet with the default
+/// retry policy, which on a fault-free cloud never fires.
 pub fn execute_plan_observed(
     cloud: &mut Cloud,
     plan: &Plan,
@@ -241,62 +267,9 @@ pub fn execute_plan_observed(
     cfg: &ExecutionConfig,
     obs: &Obs,
 ) -> Result<ExecutionReport, CloudError> {
-    let mut runs = Vec::with_capacity(plan.instance_count());
-    let attach = cloud.config().attach_overhead_s;
-    // The fleet runs on per-instance event timelines without advancing the
-    // cloud's global clock, so the phase span is closed at the last
-    // simulated finish time rather than at `cloud.now()`.
-    let phase_start = cloud.now();
-    let mut last_finish = phase_start;
-    let phase = obs.span_start("pipeline.execute", phase_start);
-    for share in &plan.instances {
-        let (inst, boot_done) = acquire_instance(cloud, cfg)?;
-        let span = obs.span_start("execute.share", boot_done);
-        let (data, setup_secs) = match cfg.staging {
-            StagingTier::Ebs => {
-                let vol = cloud.create_volume(cfg.zone, share.volume.max(1));
-                cloud.attach_volume_at(vol, inst, boot_done)?;
-                (
-                    DataLocation::Ebs {
-                        volume: vol,
-                        offset: 0,
-                    },
-                    attach,
-                )
-            }
-            StagingTier::Local => (DataLocation::Local, cfg.stage_in_secs),
-        };
-        let report = cloud.submit_job(inst, model, &share.files, data, boot_done + setup_secs)?;
-        cloud.terminate_at(inst, report.finished_at)?;
-        let job_secs = setup_secs + report.observed_secs;
-        last_finish = last_finish.max(report.finished_at);
-        obs.span_end(span, report.finished_at);
-        obs.count("execute.bytes_moved", share.volume);
-        obs.observe("execute.job_secs", job_secs);
-        runs.push(InstanceRun {
-            instance: inst,
-            volume: share.volume,
-            files: share.files.len(),
-            predicted_secs: share.predicted_secs,
-            job_secs,
-            met_deadline: job_secs <= plan.deadline_secs,
-        });
-    }
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count();
-    let hours: u64 = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
-    obs.count("execute.shares", runs.len() as u64);
-    obs.count("execute.instance_hours", hours);
-    obs.gauge("execute.makespan_secs", makespan_secs);
-    obs.span_end(phase, last_finish);
-    Ok(ExecutionReport {
-        deadline_secs: plan.deadline_secs,
-        makespan_secs,
-        misses,
-        instance_hours: hours,
-        cost: hours as f64 * cfg.hourly_rate(),
-        runs,
-    })
+    let retry = RetryPolicy::default();
+    execute_plan_resilient_sourced(cloud, plan, model, cfg, &retry, &mut FreshFleet, obs)
+        .map(|d| d.execution)
 }
 
 /// How the resilient executor reacts to injected faults. All delays are
@@ -402,7 +375,7 @@ impl DegradedReport {
 /// Acquisition wrapper for faulty clouds: an instance lost while booting
 /// or during its bonnie screen is simply replaced (bounded, so a plan
 /// that crashes every ordinal still terminates).
-pub(crate) fn acquire_resilient(
+fn acquire_resilient(
     source: &mut dyn FleetSource,
     cloud: &mut Cloud,
     cfg: &ExecutionConfig,
@@ -419,20 +392,226 @@ pub(crate) fn acquire_resilient(
     outcome
 }
 
-/// How one attempt at a share ended.
-enum AttemptEnd {
-    /// The share completed; the run report is final.
-    Done(RunReport),
-    /// Retries or replacements exhausted at the given simulated time; the
-    /// share's bytes are lost.
-    GaveUp(f64),
+/// The log names a share runner writes under: the per-share span, if the
+/// caller wants one, and the recovery counters. They are log schema, so
+/// each caller keeps its own prefix.
+pub(crate) struct ShareLog {
+    pub(crate) span: Option<&'static str>,
+    pub(crate) transient_retries: &'static str,
+    pub(crate) crashes: &'static str,
+    pub(crate) preemptions: &'static str,
+    pub(crate) replacements: &'static str,
+}
+
+/// The plan executor's log names.
+const EXECUTE_LOG: ShareLog = ShareLog {
+    span: Some("execute.share"),
+    transient_retries: "execute.transient_retries",
+    crashes: "execute.crashes",
+    preemptions: "execute.preemptions",
+    replacements: "execute.replacements",
+};
+
+/// Recovery tallies a run accumulates across its shares.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RecoveryStats {
+    /// Billed instance-hours: released shares plus doomed attempts.
+    pub(crate) hours: u64,
+    pub(crate) crashes: usize,
+    pub(crate) preemptions: usize,
+    pub(crate) transient_retries: usize,
+    pub(crate) replacements: usize,
+}
+
+/// The one per-share attempt loop, with what a run threads through its
+/// shares to recover from faults: where instances come from, the retry
+/// policy and its jitter RNG, the running tallies, and where to count.
+pub(crate) struct ShareRunner<'a> {
+    pub(crate) source: &'a mut dyn FleetSource,
+    pub(crate) retry: &'a RetryPolicy,
+    /// Backoff jitter. Each caller seeds its own, and every backoff of the
+    /// run draws from it in simulated-time order.
+    pub(crate) rng: StdRng,
+    pub(crate) stats: RecoveryStats,
+    pub(crate) log: &'a ShareLog,
+    pub(crate) obs: &'a Obs,
+}
+
+impl ShareRunner<'_> {
+    /// The simulated wait before retry `attempt` (1-based) of a transient
+    /// error, counted as a retry; `None` once the attempts are spent.
+    pub(crate) fn backoff(&mut self, attempt: u32) -> Option<f64> {
+        if attempt >= self.retry.max_attempts {
+            return None;
+        }
+        self.stats.transient_retries += 1;
+        self.obs.count(self.log.transient_retries, 1);
+        Some(self.retry.backoff_secs(attempt, &mut self.rng))
+    }
+
+    /// Account for `inst` lost (`err`) during an attempt that began at
+    /// `ready` and had reached `t`: count the crash or preemption and bill
+    /// the doomed attempt through the source. Returns the time of death.
+    pub(crate) fn lose(
+        &mut self,
+        cloud: &mut Cloud,
+        inst: InstanceId,
+        (ready, t): (f64, f64),
+        err: &CloudError,
+    ) -> f64 {
+        if matches!(err, CloudError::SpotPreempted(_)) {
+            self.stats.preemptions += 1;
+            self.obs.count(self.log.preemptions, 1);
+        } else {
+            self.stats.crashes += 1;
+            self.obs.count(self.log.crashes, 1);
+        }
+        let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
+        self.stats.hours += self.source.lost(cloud, inst, ready, t_dead);
+        t_dead
+    }
+
+    /// A replacement instance for a share that has used `used`
+    /// replacements so far, ready no earlier than the loss at `t_dead`;
+    /// `None` once the policy's replacements are spent.
+    pub(crate) fn replace(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+        used: &mut u32,
+        t_dead: f64,
+    ) -> Result<Option<(InstanceId, f64)>, CloudError> {
+        if *used >= self.retry.max_replacements {
+            return Ok(None);
+        }
+        *used += 1;
+        self.stats.replacements += 1;
+        self.obs.count(self.log.replacements, 1);
+        let (inst, ready) = acquire_resilient(self.source, cloud, cfg)?;
+        Ok(Some((inst, ready.max(t_dead))))
+    }
+
+    /// Run one share to an outcome: acquire an instance, stage the data
+    /// (EBS attach with bounded backoff, or constant-time local
+    /// stage-in), submit the job, and on instance loss bill the doomed
+    /// attempt and requeue the whole share on a replacement. A persistent
+    /// EBS volume survives the loss and re-attaches to the replacement;
+    /// local staging starts over.
+    pub(crate) fn run(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+        model: &dyn AppCostModel,
+        share: &InstancePlan,
+    ) -> Result<ShareOutcome, CloudError> {
+        let (mut inst, mut ready) = acquire_resilient(self.source, cloud, cfg)?;
+        let first_ready = ready;
+        let span = self.log.span.map(|s| self.obs.span_start(s, ready));
+        let vol = match cfg.staging {
+            StagingTier::Ebs => Some(cloud.create_volume(cfg.zone, share.volume.max(1))),
+            StagingTier::Local => None,
+        };
+        let attach = cloud.config().attach_overhead_s;
+        let mut replacements = 0u32;
+        let outcome = 'attempts: loop {
+            // One attempt on `inst`, working no earlier than `ready`.
+            let mut t = ready;
+            let staged = match vol {
+                None => {
+                    t += cfg.stage_in_secs;
+                    Ok(DataLocation::Local)
+                }
+                Some(volume) => {
+                    let mut attempt = 0u32;
+                    loop {
+                        match cloud.attach_volume_at(volume, inst, t) {
+                            Ok(()) => {
+                                t += attach;
+                                break Ok(DataLocation::Ebs { volume, offset: 0 });
+                            }
+                            Err(error) if error.is_transient() => {
+                                attempt += 1;
+                                match self.backoff(attempt) {
+                                    Some(wait) => t += wait,
+                                    None => {
+                                        break 'attempts ShareOutcome::TransientExhausted {
+                                            at: t,
+                                            inst,
+                                            ready,
+                                            error,
+                                        };
+                                    }
+                                }
+                            }
+                            Err(e) => break Err(e),
+                        }
+                    }
+                }
+            };
+            let submitted =
+                staged.and_then(|data| cloud.submit_job(inst, model, &share.files, data, t));
+            let lost = match submitted {
+                Ok(report) => {
+                    break ShareOutcome::Done {
+                        report,
+                        inst,
+                        ready,
+                        first_ready,
+                        replacements,
+                    }
+                }
+                Err(e) if e.is_instance_loss() => e,
+                Err(e) => return Err(e),
+            };
+            // The cloud already terminated the instance and detached its
+            // volumes.
+            let t_dead = self.lose(cloud, inst, (ready, t), &lost);
+            match self.replace(cloud, cfg, &mut replacements, t_dead)? {
+                Some(next) => (inst, ready) = next,
+                None => break ShareOutcome::ReplacementsExhausted { at: t_dead },
+            }
+        };
+        if let Some(span) = span {
+            let at = match &outcome {
+                ShareOutcome::Done { report, .. } => report.finished_at,
+                ShareOutcome::TransientExhausted { at, .. }
+                | ShareOutcome::ReplacementsExhausted { at } => *at,
+            };
+            self.obs.span_end(span, at);
+        }
+        Ok(outcome)
+    }
+}
+
+/// How one share ended under [`ShareRunner::run`]. The runner never releases an
+/// instance: the caller decides what happens to a live one.
+pub(crate) enum ShareOutcome {
+    /// The share completed on `inst`, which picked it up at `ready`; the
+    /// share's first instance was ready at `first_ready`.
+    Done {
+        report: RunReport,
+        inst: InstanceId,
+        ready: f64,
+        first_ready: f64,
+        replacements: u32,
+    },
+    /// Staging kept failing transiently until the retries ran out at `at`;
+    /// `inst` (ready since `ready`) is still alive.
+    TransientExhausted {
+        at: f64,
+        inst: InstanceId,
+        ready: f64,
+        error: CloudError,
+    },
+    /// Every instance the share was given died; the last loss was at `at`.
+    ReplacementsExhausted { at: f64 },
 }
 
 /// Execute a plan on a possibly faulty cloud: transient errors back off
 /// and retry in place, lost instances are replaced and their whole bin
 /// requeued on the replacement, and everything is accounted in a
 /// [`DegradedReport`]. On a fault-free cloud the embedded
-/// [`ExecutionReport`] is bit-for-bit identical to [`execute_plan`]'s.
+/// [`ExecutionReport`] is exactly [`execute_plan`]'s.
 ///
 /// Recovery time counts against the deadline: a share's `job_secs` runs
 /// from the moment its *first* instance was ready to the final finish.
@@ -443,32 +622,21 @@ pub fn execute_plan_resilient(
     cfg: &ExecutionConfig,
     retry: &RetryPolicy,
 ) -> Result<DegradedReport, CloudError> {
-    execute_plan_resilient_observed(cloud, plan, model, cfg, retry, &Obs::default())
+    let obs = Obs::default();
+    execute_plan_resilient_sourced(cloud, plan, model, cfg, retry, &mut FreshFleet, &obs)
 }
 
-/// [`execute_plan_resilient`] with an observability sink: in addition to
-/// the `execute_plan_observed` metrics it counts retries, crashes,
+/// The one plan executor. [`execute_plan_resilient`] generalized over
+/// where instances come from and where the log goes: every acquisition,
+/// release, and loss goes through the given [`FleetSource`], which also
+/// attributes billed hours. With [`FreshFleet`] each share gets its own
+/// instance; with a warm pool, shares land on instances whose current
+/// billed hour is already paid whenever one is free.
+///
+/// Besides the `execute_plan_observed` metrics it counts retries, crashes,
 /// preemptions, replacements, requeued bins and recovered/lost bytes as
 /// they happen, so the event log shows *when* in simulated time each
-/// recovery action fired. With the default no-op sink this is exactly
-/// `execute_plan_resilient`.
-pub fn execute_plan_resilient_observed(
-    cloud: &mut Cloud,
-    plan: &Plan,
-    model: &dyn AppCostModel,
-    cfg: &ExecutionConfig,
-    retry: &RetryPolicy,
-    obs: &Obs,
-) -> Result<DegradedReport, CloudError> {
-    execute_plan_resilient_sourced(cloud, plan, model, cfg, retry, &mut FreshFleet, obs)
-}
-
-/// [`execute_plan_resilient_observed`] generalized over where instances
-/// come from: every acquisition, release, and loss goes through the given
-/// [`FleetSource`], which also attributes billed hours. With
-/// [`FreshFleet`] this is exactly `execute_plan_resilient_observed`; with
-/// a warm pool, shares land on instances whose current billed hour is
-/// already paid whenever one is free.
+/// recovery action fired.
 pub fn execute_plan_resilient_sourced(
     cloud: &mut Cloud,
     plan: &Plan,
@@ -478,114 +646,40 @@ pub fn execute_plan_resilient_sourced(
     source: &mut dyn FleetSource,
     obs: &Obs,
 ) -> Result<DegradedReport, CloudError> {
-    let mut rng = StdRng::seed_from_u64(retry.seed ^ 0xBACC_0FF5);
-    let attach = cloud.config().attach_overhead_s;
+    let mut runner = ShareRunner {
+        source,
+        retry,
+        rng: StdRng::seed_from_u64(retry.seed ^ 0xBACC_0FF5),
+        stats: RecoveryStats::default(),
+        log: &EXECUTE_LOG,
+        obs,
+    };
     let mut runs = Vec::with_capacity(plan.instance_count());
     let mut share_files: Vec<Vec<FileSpec>> = Vec::with_capacity(plan.instance_count());
     let mut failed_shares = Vec::new();
-    let (mut crashes, mut preemptions, mut transient_retries) = (0usize, 0usize, 0usize);
-    let (mut replacements, mut requeued_shares) = (0usize, 0usize);
-    let (mut recovered_bytes, mut lost_bytes) = (0u64, 0u64);
-    let mut hours = 0u64;
-    // As in `execute_plan_observed`: the fleet works on per-instance event
-    // timelines, so the phase span closes at the last simulated finish (or
-    // give-up) time, not at `cloud.now()`.
+    let (mut requeued_shares, mut recovered_bytes, mut lost_bytes) = (0usize, 0u64, 0u64);
+    // The fleet works on per-instance event timelines without advancing
+    // the cloud's global clock, so the phase span closes at the last
+    // simulated finish (or give-up) time, not at `cloud.now()`.
     let phase_start = cloud.now();
     let mut last_finish = phase_start;
     let phase = obs.span_start("pipeline.execute", phase_start);
 
     for (idx, share) in plan.instances.iter().enumerate() {
-        let (mut inst, mut ready) = acquire_resilient(source, cloud, cfg)?;
-        let first_ready = ready;
-        let span = obs.span_start("execute.share", first_ready);
-        // A persistent EBS volume survives instance loss and re-attaches
-        // to the replacement; local staging re-stages from scratch.
-        let vol = match cfg.staging {
-            StagingTier::Ebs => Some(cloud.create_volume(cfg.zone, share.volume.max(1))),
-            StagingTier::Local => None,
-        };
-        let mut share_replacements = 0u32;
-        let end = loop {
-            // One attempt on `inst`, working no earlier than `ready`.
-            let mut t = ready;
-            let mut lost: Option<CloudError> = None;
-            let mut gave_up = false;
-            let data = if let Some(v) = vol {
-                let mut attempt = 0u32;
-                loop {
-                    match cloud.attach_volume_at(v, inst, t) {
-                        Ok(()) => {
-                            t += attach;
-                            break;
-                        }
-                        Err(e) if e.is_instance_loss() => {
-                            lost = Some(e);
-                            break;
-                        }
-                        Err(e) if e.is_transient() => {
-                            attempt += 1;
-                            if attempt >= retry.max_attempts {
-                                gave_up = true;
-                                break;
-                            }
-                            transient_retries += 1;
-                            obs.count("execute.transient_retries", 1);
-                            t += retry.backoff_secs(attempt, &mut rng);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                DataLocation::Ebs {
-                    volume: v,
-                    offset: 0,
-                }
-            } else {
-                t += cfg.stage_in_secs;
-                DataLocation::Local
-            };
-            if gave_up {
-                // The instance is alive but the share is stuck; release it.
-                hours += source.release(cloud, inst, ready, t)?;
-                break AttemptEnd::GaveUp(t);
-            }
-            if lost.is_none() {
-                match cloud.submit_job(inst, model, &share.files, data, t) {
-                    Ok(report) => {
-                        hours += source.release(cloud, inst, ready, report.finished_at)?;
-                        break AttemptEnd::Done(report);
-                    }
-                    Err(e) if e.is_instance_loss() => lost = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            // Instance loss: the cloud already terminated the instance and
-            // detached its volumes. Bill the partial attempt and requeue
-            // the whole bin on a replacement.
-            if matches!(lost, Some(CloudError::SpotPreempted(_))) {
-                preemptions += 1;
-                obs.count("execute.preemptions", 1);
-            } else {
-                crashes += 1;
-                obs.count("execute.crashes", 1);
-            }
-            let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
-            hours += source.lost(cloud, inst, ready, t_dead);
-            if share_replacements >= retry.max_replacements {
-                break AttemptEnd::GaveUp(t_dead);
-            }
-            share_replacements += 1;
-            replacements += 1;
-            obs.count("execute.replacements", 1);
-            let (new_inst, new_ready) = acquire_resilient(source, cloud, cfg)?;
-            inst = new_inst;
-            // The replacement cannot pick the work up before the loss.
-            ready = new_ready.max(t_dead);
-        };
-        match end {
-            AttemptEnd::Done(report) => {
+        let gave_up_at = match runner.run(cloud, cfg, model, share)? {
+            ShareOutcome::Done {
+                report,
+                inst,
+                ready,
+                first_ready,
+                replacements,
+            } => {
+                runner.stats.hours +=
+                    runner
+                        .source
+                        .release(cloud, inst, ready, report.finished_at)?;
                 let job_secs = report.finished_at - first_ready;
                 last_finish = last_finish.max(report.finished_at);
-                obs.span_end(span, report.finished_at);
                 obs.count("execute.bytes_moved", share.volume);
                 obs.observe("execute.job_secs", job_secs);
                 runs.push(InstanceRun {
@@ -597,46 +691,51 @@ pub fn execute_plan_resilient_sourced(
                     met_deadline: job_secs <= plan.deadline_secs,
                 });
                 share_files.push(share.files.clone());
-                if share_replacements > 0 {
+                if replacements > 0 {
                     requeued_shares += 1;
                     recovered_bytes += share.volume;
                     obs.count("execute.requeued_shares", 1);
                     obs.count("execute.recovered_bytes", share.volume);
                 }
+                continue;
             }
-            AttemptEnd::GaveUp(at) => {
-                last_finish = last_finish.max(at);
-                obs.span_end(span, at);
-                obs.count("execute.failed_shares", 1);
-                obs.count("execute.lost_bytes", share.volume);
-                failed_shares.push(idx);
-                share_files.push(Vec::new());
-                lost_bytes += share.volume;
+            // The instance is alive but the share is stuck; release it.
+            ShareOutcome::TransientExhausted {
+                at, inst, ready, ..
+            } => {
+                runner.stats.hours += runner.source.release(cloud, inst, ready, at)?;
+                at
             }
-        }
+            ShareOutcome::ReplacementsExhausted { at } => at,
+        };
+        last_finish = last_finish.max(gave_up_at);
+        obs.count("execute.failed_shares", 1);
+        obs.count("execute.lost_bytes", share.volume);
+        failed_shares.push(idx);
+        share_files.push(Vec::new());
+        lost_bytes += share.volume;
     }
 
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count() + failed_shares.len();
-    obs.count("execute.shares", runs.len() as u64);
-    obs.count("execute.instance_hours", hours);
-    obs.gauge("execute.makespan_secs", makespan_secs);
+    let stats = runner.stats;
+    let execution = ExecutionReport::summarize(
+        runs,
+        plan.deadline_secs,
+        failed_shares.len(),
+        stats.hours,
+        cfg,
+    );
+    obs.count("execute.shares", execution.runs.len() as u64);
+    obs.count("execute.instance_hours", stats.hours);
+    obs.gauge("execute.makespan_secs", execution.makespan_secs);
     obs.span_end(phase, last_finish);
     Ok(DegradedReport {
-        execution: ExecutionReport {
-            deadline_secs: plan.deadline_secs,
-            makespan_secs,
-            misses,
-            instance_hours: hours,
-            cost: hours as f64 * cfg.hourly_rate(),
-            runs,
-        },
+        execution,
         failed_shares,
         share_files,
-        crashes,
-        preemptions,
-        transient_retries,
-        replacements,
+        crashes: stats.crashes,
+        preemptions: stats.preemptions,
+        transient_retries: stats.transient_retries,
+        replacements: stats.replacements,
         requeued_shares,
         recovered_bytes,
         lost_bytes,

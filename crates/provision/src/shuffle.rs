@@ -7,9 +7,10 @@
 //! reducer that owns the key. This module adds that two-phase execution
 //! mode on top of the existing planner and executor:
 //!
-//! 1. **Map** — the compute plan's bins run exactly like ordinary shares
-//!    (per-instance timelines, transient attach retries, instance-loss
-//!    replacement and requeue bounded by [`RetryPolicy`]).
+//! 1. **Map** — the compute plan's bins run through the plan executor's
+//!    share runner, exactly like ordinary shares (per-instance timelines,
+//!    transient attach retries, instance-loss replacement and requeue
+//!    bounded by [`RetryPolicy`]).
 //! 2. **Shuffle** — each map bin's partial is partitioned by the pure
 //!    FNV-1a key partitioner and moved through a [`SharingBackend`]
 //!    ([`ec2sim::TransferEngine`]): one PUT from the producer at its map
@@ -41,7 +42,7 @@
 
 use crate::error::ProvisionError;
 use crate::executor::{
-    acquire_resilient, ExecutionConfig, FleetSource, FreshFleet, RetryPolicy, StagingTier,
+    ExecutionConfig, FreshFleet, RecoveryStats, RetryPolicy, ShareLog, ShareOutcome, ShareRunner,
 };
 use crate::plan::Plan;
 use crate::strategy::{make_plan, Strategy};
@@ -51,7 +52,7 @@ use ec2sim::{
     TransferEngine, TransferRequest,
 };
 use obs::Obs;
-use perfmodel::{adjusted_deadline, adjustment_factor, try_fit, Fit, ModelKind, ResidualStats};
+use perfmodel::{adjusted_for, try_fit, Fit, ModelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -379,9 +380,7 @@ pub fn plan_shuffle(
                 transfer_cost: dry_run_cost(backend, seed, movements),
             },
             Some(fit) => {
-                let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-                let a = adjustment_factor(&res, p_miss);
-                let b_adj = adjusted_deadline(budget_secs, a);
+                let b_adj = adjusted_for(&fit, budget_secs, p_miss);
                 // Every movement crosses the backend twice (PUT + GET).
                 let preds: Vec<f64> = movements
                     .iter()
@@ -472,12 +471,14 @@ pub fn plan_aggregation(
     Ok((plan, shuffle_plan))
 }
 
-/// Shared backoff state for transient S3 transfer errors.
-struct Backoff<'a> {
-    policy: &'a RetryPolicy,
-    rng: &'a mut StdRng,
-    retries: &'a mut usize,
-}
+/// The aggregation's log names: no per-share span, `shuffle.*` counters.
+const SHUFFLE_LOG: ShareLog = ShareLog {
+    span: None,
+    transient_retries: "shuffle.transient_retries",
+    crashes: "shuffle.crashes",
+    preemptions: "shuffle.preemptions",
+    replacements: "shuffle.replacements",
+};
 
 /// Perform one real `s3_put`/`s3_get` against the simulated store at the
 /// transfer's simulated start, retrying transient injected faults with the
@@ -486,8 +487,7 @@ struct Backoff<'a> {
 /// S3 fault events; the advance is monotone, so replays stay identical.
 fn s3_op(
     cloud: &mut Cloud,
-    bo: &mut Backoff<'_>,
-    obs: &Obs,
+    runner: &mut ShareRunner<'_>,
     key: &str,
     bytes: u64,
     mut not_before: f64,
@@ -508,30 +508,14 @@ fn s3_op(
             Ok(()) => return Ok(t),
             Err(e) if e.is_transient() => {
                 attempt += 1;
-                if attempt >= bo.policy.max_attempts {
-                    return Err(ShuffleError::Cloud(e));
+                match runner.backoff(attempt) {
+                    Some(wait) => not_before = t + wait,
+                    None => return Err(ShuffleError::Cloud(e)),
                 }
-                *bo.retries += 1;
-                obs.count("shuffle.transient_retries", 1);
-                not_before = t + bo.policy.backoff_secs(attempt, bo.rng);
             }
             Err(e) => return Err(ShuffleError::Cloud(e)),
         }
     }
-}
-
-/// Mutable fleet/accounting state threaded through the three phases.
-struct FleetState {
-    /// Per-map-slot (instance, ready) — replacements swap in place.
-    slots: Vec<(InstanceId, f64)>,
-    /// Per-slot horizon the release must cover beyond submitted jobs
-    /// (producers stay up until their last PUT lands).
-    put_horizon: Vec<f64>,
-    hours: u64,
-    crashes: usize,
-    preemptions: usize,
-    replacements: usize,
-    transient_retries: usize,
 }
 
 /// Execute a distributed aggregation over an explicit backend. The
@@ -547,22 +531,24 @@ pub fn execute_shuffle_observed(
     let zones = cfg.zones();
     let reduce_bins = cfg.reduce_bins.max(1);
     let model = TokenizeCostModel::default();
-    let mut rng = StdRng::seed_from_u64(cfg.retry.seed ^ 0x0EC2_5AFF);
-    let mut source = FreshFleet;
-    let attach = cloud.config().attach_overhead_s;
     let m_count = plan.instance_count();
+    let mut runner = ShareRunner {
+        source: &mut FreshFleet,
+        retry: &cfg.retry,
+        rng: StdRng::seed_from_u64(cfg.retry.seed ^ 0x0EC2_5AFF),
+        stats: RecoveryStats::default(),
+        log: &SHUFFLE_LOG,
+        obs,
+    };
 
     let phase_start = cloud.now();
     let pipeline = obs.span_start("shuffle.pipeline", phase_start);
-    let mut st = FleetState {
-        slots: Vec::with_capacity(m_count),
-        put_horizon: vec![phase_start; m_count],
-        hours: 0,
-        crashes: 0,
-        preemptions: 0,
-        replacements: 0,
-        transient_retries: 0,
-    };
+    // Per-map-slot (instance, ready): reducers ride on the map fleet, and
+    // replacements swap in place.
+    let mut slots: Vec<(InstanceId, f64)> = Vec::with_capacity(m_count);
+    // Per-slot horizon the release must cover beyond submitted jobs
+    // (producers stay up until their last PUT lands).
+    let mut put_horizon = vec![phase_start; m_count];
 
     // ---- Phase 1: map ----------------------------------------------------
     let map_span = obs.span_start("shuffle.map", phase_start);
@@ -572,75 +558,24 @@ pub fn execute_shuffle_observed(
             zone: zones[idx % zones.len()],
             ..cfg.exec
         };
-        let (mut inst, mut ready) = acquire_resilient(&mut source, cloud, &share_cfg)?;
-        let vol = match share_cfg.staging {
-            StagingTier::Ebs => Some(cloud.create_volume(share_cfg.zone, share.volume.max(1))),
-            StagingTier::Local => None,
-        };
-        let mut share_replacements = 0u32;
-        let report = loop {
-            let mut t = ready;
-            let mut lost: Option<CloudError> = None;
-            let data = if let Some(v) = vol {
-                let mut attempt = 0u32;
-                loop {
-                    match cloud.attach_volume_at(v, inst, t) {
-                        Ok(()) => {
-                            t += attach;
-                            break;
-                        }
-                        Err(e) if e.is_instance_loss() => {
-                            lost = Some(e);
-                            break;
-                        }
-                        Err(e) if e.is_transient() => {
-                            attempt += 1;
-                            if attempt >= cfg.retry.max_attempts {
-                                return Err(ShuffleError::Cloud(e));
-                            }
-                            st.transient_retries += 1;
-                            obs.count("shuffle.transient_retries", 1);
-                            t += cfg.retry.backoff_secs(attempt, &mut rng);
-                        }
-                        Err(e) => return Err(ShuffleError::Cloud(e)),
-                    }
-                }
-                DataLocation::Ebs {
-                    volume: v,
-                    offset: 0,
-                }
-            } else {
-                t += share_cfg.stage_in_secs;
-                DataLocation::Local
-            };
-            if lost.is_none() {
-                match cloud.submit_job(inst, &model, &share.files, data, t) {
-                    Ok(report) => break report,
-                    Err(e) if e.is_instance_loss() => lost = Some(e),
-                    Err(e) => return Err(ShuffleError::Cloud(e)),
-                }
+        // The map instance stays in its slot for the reduce phase.
+        match runner.run(cloud, &share_cfg, &model, share)? {
+            ShareOutcome::Done {
+                report,
+                inst,
+                ready,
+                ..
+            } => {
+                map_finish[idx] = report.finished_at;
+                slots.push((inst, ready));
             }
-            if matches!(lost, Some(CloudError::SpotPreempted(_))) {
-                st.preemptions += 1;
-                obs.count("shuffle.preemptions", 1);
-            } else {
-                st.crashes += 1;
-                obs.count("shuffle.crashes", 1);
+            ShareOutcome::TransientExhausted { error, .. } => {
+                return Err(ShuffleError::Cloud(error))
             }
-            let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
-            st.hours += source.lost(cloud, inst, ready, t_dead);
-            if share_replacements >= cfg.retry.max_replacements {
-                return Err(ShuffleError::SharesExhausted { share: idx });
+            ShareOutcome::ReplacementsExhausted { .. } => {
+                return Err(ShuffleError::SharesExhausted { share: idx })
             }
-            share_replacements += 1;
-            st.replacements += 1;
-            obs.count("shuffle.replacements", 1);
-            let (new_inst, new_ready) = acquire_resilient(&mut source, cloud, &share_cfg)?;
-            inst = new_inst;
-            ready = new_ready.max(t_dead);
-        };
-        map_finish[idx] = report.finished_at;
-        st.slots.push((inst, ready));
+        }
     }
     let map_finish_secs = map_finish.iter().copied().fold(phase_start, f64::max);
     obs.span_end(map_span, map_finish_secs);
@@ -657,64 +592,57 @@ pub fn execute_shuffle_observed(
     let xfer_span = obs.span_start("shuffle.xfer", map_finish_secs);
     let mut engine = TransferEngine::new(backend, cfg.seed);
     let mut get_finish = vec![map_finish_secs; reduce_bins];
-    {
-        let mut bo = Backoff {
-            policy: &cfg.retry,
-            rng: &mut rng,
-            retries: &mut st.transient_retries,
-        };
-        for (m, parts) in partitioned.iter().enumerate() {
-            for (r, part) in parts.iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let key = format!("shuffle/{}/m{m}/r{r}", cfg.kind.label());
-                let bytes = partial_bytes(part);
-                let src = zones[m % zones.len()];
-                let dst = zones[r % zones.len()];
-                let mut put_nb = map_finish[m];
-                if backend == SharingBackend::S3 {
-                    put_nb = s3_op(cloud, &mut bo, obs, &key, bytes, put_nb, false)?;
-                }
-                let put = engine.transfer(&TransferRequest {
-                    key: key.clone(),
-                    bytes,
-                    src_zone: src,
-                    dst_zone: dst,
-                    not_before: put_nb,
-                    is_get: false,
-                });
-                obs.transfer(
-                    backend.label(),
-                    &key,
-                    bytes,
-                    put.started_at,
-                    put.finished_at - put.started_at,
-                );
-                obs.count("shuffle.bytes_moved", bytes);
-                st.put_horizon[m] = st.put_horizon[m].max(put.finished_at);
-                let mut get_nb = put.finished_at;
-                if backend == SharingBackend::S3 {
-                    get_nb = s3_op(cloud, &mut bo, obs, &key, bytes, get_nb, true)?;
-                }
-                let get = engine.transfer(&TransferRequest {
-                    key,
-                    bytes,
-                    src_zone: dst,
-                    dst_zone: dst,
-                    not_before: get_nb,
-                    is_get: true,
-                });
-                obs.transfer(
-                    backend.label(),
-                    &get.key,
-                    bytes,
-                    get.started_at,
-                    get.finished_at - get.started_at,
-                );
-                obs.count("shuffle.bytes_moved", bytes);
-                get_finish[r] = get_finish[r].max(get.finished_at);
+    for (m, parts) in partitioned.iter().enumerate() {
+        for (r, part) in parts.iter().enumerate() {
+            if part.is_empty() {
+                continue;
             }
+            let key = format!("shuffle/{}/m{m}/r{r}", cfg.kind.label());
+            let bytes = partial_bytes(part);
+            let src = zones[m % zones.len()];
+            let dst = zones[r % zones.len()];
+            let mut put_nb = map_finish[m];
+            if backend == SharingBackend::S3 {
+                put_nb = s3_op(cloud, &mut runner, &key, bytes, put_nb, false)?;
+            }
+            let put = engine.transfer(&TransferRequest {
+                key: key.clone(),
+                bytes,
+                src_zone: src,
+                dst_zone: dst,
+                not_before: put_nb,
+                is_get: false,
+            });
+            obs.transfer(
+                backend.label(),
+                &key,
+                bytes,
+                put.started_at,
+                put.finished_at - put.started_at,
+            );
+            obs.count("shuffle.bytes_moved", bytes);
+            put_horizon[m] = put_horizon[m].max(put.finished_at);
+            let mut get_nb = put.finished_at;
+            if backend == SharingBackend::S3 {
+                get_nb = s3_op(cloud, &mut runner, &key, bytes, get_nb, true)?;
+            }
+            let get = engine.transfer(&TransferRequest {
+                key,
+                bytes,
+                src_zone: dst,
+                dst_zone: dst,
+                not_before: get_nb,
+                is_get: true,
+            });
+            obs.transfer(
+                backend.label(),
+                &get.key,
+                bytes,
+                get.started_at,
+                get.finished_at - get.started_at,
+            );
+            obs.count("shuffle.bytes_moved", bytes);
+            get_finish[r] = get_finish[r].max(get.finished_at);
         }
     }
     let shuffle_finish_secs = engine.horizon().max(map_finish_secs);
@@ -739,7 +667,7 @@ pub fn execute_shuffle_observed(
             };
             let mut share_replacements = 0u32;
             loop {
-                let (inst, ready) = st.slots[slot];
+                let (inst, ready) = slots[slot];
                 let nb = get_finish[r].max(ready);
                 match cloud.submit_job(inst, &model, &spec, DataLocation::Local, nb) {
                     Ok(rep) => {
@@ -747,24 +675,10 @@ pub fn execute_shuffle_observed(
                         break;
                     }
                     Err(e) if e.is_instance_loss() => {
-                        if matches!(e, CloudError::SpotPreempted(_)) {
-                            st.preemptions += 1;
-                            obs.count("shuffle.preemptions", 1);
-                        } else {
-                            st.crashes += 1;
-                            obs.count("shuffle.crashes", 1);
-                        }
-                        let t_dead = cloud.crash_time(inst).unwrap_or(nb).max(ready);
-                        st.hours += source.lost(cloud, inst, ready, t_dead);
-                        if share_replacements >= cfg.retry.max_replacements {
-                            return Err(ShuffleError::SharesExhausted { share: m_count + r });
-                        }
-                        share_replacements += 1;
-                        st.replacements += 1;
-                        obs.count("shuffle.replacements", 1);
-                        let (new_inst, new_ready) =
-                            acquire_resilient(&mut source, cloud, &share_cfg)?;
-                        st.slots[slot] = (new_inst, new_ready.max(t_dead));
+                        let t_dead = runner.lose(cloud, inst, (ready, nb), &e);
+                        slots[slot] = runner
+                            .replace(cloud, &share_cfg, &mut share_replacements, t_dead)?
+                            .ok_or(ShuffleError::SharesExhausted { share: m_count + r })?;
                     }
                     Err(e) => return Err(ShuffleError::Cloud(e)),
                 }
@@ -777,15 +691,16 @@ pub fn execute_shuffle_observed(
 
     // Release the fleet: each instance is held through its own busy
     // horizon and any PUT it still had in flight.
-    for (slot, &(inst, ready)) in st.slots.iter().enumerate() {
+    for (&(inst, ready), &horizon) in slots.iter().zip(&put_horizon) {
         let busy = cloud.busy_until(inst)?;
-        let release_at = busy.max(st.put_horizon[slot]).max(ready);
-        st.hours += source.release(cloud, inst, ready, release_at)?;
+        let release_at = busy.max(horizon).max(ready);
+        runner.stats.hours += runner.source.release(cloud, inst, ready, release_at)?;
     }
+    let stats = runner.stats;
 
     let makespan_secs = last_finish - phase_start;
     obs.count("shuffle.transfers", engine.transfers as u64);
-    obs.count("shuffle.instance_hours", st.hours);
+    obs.count("shuffle.instance_hours", stats.hours);
     obs.gauge("shuffle.makespan_secs", makespan_secs);
     obs.span_end(pipeline, last_finish);
 
@@ -799,12 +714,12 @@ pub fn execute_shuffle_observed(
         makespan_secs,
         bytes_shuffled: engine.bytes_moved,
         transfers: engine.transfers,
-        transient_retries: st.transient_retries,
-        crashes: st.crashes,
-        preemptions: st.preemptions,
-        replacements: st.replacements,
-        instance_hours: st.hours,
-        compute_cost: st.hours as f64 * cfg.exec.pricing.hourly_rate,
+        transient_retries: stats.transient_retries,
+        crashes: stats.crashes,
+        preemptions: stats.preemptions,
+        replacements: stats.replacements,
+        instance_hours: stats.hours,
+        compute_cost: stats.hours as f64 * cfg.exec.hourly_rate(),
         transfer_cost: engine.total_cost(),
         reduce_outputs,
         result,

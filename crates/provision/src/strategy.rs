@@ -4,7 +4,7 @@ use crate::error::ProvisionError;
 use crate::plan::Plan;
 use binpack::{first_fit, uniform_k_bins, Item};
 use corpus::FileSpec;
-use perfmodel::{adjusted_deadline, adjustment_factor, Fit, ResidualStats};
+use perfmodel::{adjusted_for, Fit};
 use serde::{Deserialize, Serialize};
 
 /// How to turn (model, volume, deadline) into per-instance bins.
@@ -96,9 +96,7 @@ pub fn make_plan(
             )
         }
         Strategy::AdjustedDeadline { p_miss } => {
-            let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-            let a = adjustment_factor(&res, p_miss);
-            let d_adj = adjusted_deadline(deadline_secs, a);
+            let d_adj = adjusted_for(fit, deadline_secs, p_miss);
             let x0 = invert_at(fit, deadline_secs)?;
             let i = total.div_ceil(x0).max(1) as usize;
             // Uniform over i instances gives V/i per instance; if that

@@ -4,12 +4,13 @@
 //! most one extra instance-hour).
 
 use corpus::FileSpec;
-use ec2sim::{Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan};
+use ec2sim::{Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan, InstanceFamily};
 use perfmodel::{fit, Fit, ModelKind};
 use proptest::prelude::*;
 use provision::{
-    execute_plan, execute_plan_resilient, make_plan, ExecutionConfig, ProvisionError, RetryPolicy,
-    StagingTier, Strategy,
+    execute_dynamic, execute_plan, execute_plan_resilient, execute_quality_aware, make_plan,
+    DynamicConfig, ExecutionConfig, ExecutionReport, ProvisionError, QualityAwareConfig,
+    RetryPolicy, StagingTier, Strategy,
 };
 use textapps::GrepCostModel;
 
@@ -256,6 +257,95 @@ fn transient_attach_failures_are_absorbed_by_backoff() {
     assert_eq!(report.transient_retries, 2);
     assert!(report.failed_shares.is_empty());
     assert_eq!(report.crashes + report.preemptions + report.replacements, 0);
+}
+
+/// Every executor's fleet summary under `cfg`, each on its own ideal
+/// cloud, labelled by executor.
+fn every_executor(cfg: &ExecutionConfig) -> Vec<(&'static str, ExecutionReport, Cloud)> {
+    let m = grep_fit();
+    let files = corpus_files(40, 100_000_000);
+    let plan = make_plan(Strategy::UniformBins, &files, &m, 60.0).unwrap();
+    let model = GrepCostModel::default();
+    let cloud = || Cloud::new(CloudConfig::ideal(6));
+    let (mut a, mut b, mut c, mut d) = (cloud(), cloud(), cloud(), cloud());
+    vec![
+        (
+            "execute_plan",
+            execute_plan(&mut a, &plan, &model, cfg).unwrap(),
+            a,
+        ),
+        (
+            "execute_plan_resilient",
+            execute_plan_resilient(&mut b, &plan, &model, cfg, &RetryPolicy::default())
+                .unwrap()
+                .execution,
+            b,
+        ),
+        (
+            "execute_quality_aware",
+            execute_quality_aware(
+                &mut c,
+                &files,
+                &m,
+                60.0,
+                &model,
+                cfg,
+                &QualityAwareConfig::default(),
+            )
+            .unwrap()
+            .execution,
+            c,
+        ),
+        (
+            "execute_dynamic",
+            execute_dynamic(&mut d, &plan, &model, &m, cfg, &DynamicConfig::default())
+                .unwrap()
+                .execution,
+            d,
+        ),
+    ]
+}
+
+#[test]
+fn every_executor_bills_at_the_rate_override() {
+    let cfg = ExecutionConfig {
+        rate_override: Some(0.5),
+        ..ExecutionConfig::default()
+    };
+    for (name, report, _) in every_executor(&cfg) {
+        assert!(!report.runs.is_empty(), "{name}");
+        assert!(
+            (report.cost - report.instance_hours as f64 * 0.5).abs() < 1e-9,
+            "{name}: cost {} for {} hours",
+            report.cost,
+            report.instance_hours
+        );
+    }
+}
+
+#[test]
+fn every_executor_launches_and_bills_through_the_family() {
+    let family = InstanceFamily::low_power();
+    let cfg = ExecutionConfig {
+        family: Some(family),
+        ..ExecutionConfig::default()
+    };
+    for (name, report, cloud) in every_executor(&cfg) {
+        assert!(!report.runs.is_empty(), "{name}");
+        assert!(
+            (report.cost - report.instance_hours as f64 * family.on_demand_rate).abs() < 1e-9,
+            "{name}: cost {} for {} hours",
+            report.cost,
+            report.instance_hours
+        );
+        // Every instance the executor launched bills at the family rate.
+        for bill in cloud.ledger().bills() {
+            assert!(
+                (bill.cost - bill.billed_hours as f64 * family.on_demand_rate).abs() < 1e-9,
+                "{name}: {bill:?}"
+            );
+        }
+    }
 }
 
 proptest! {

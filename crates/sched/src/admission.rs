@@ -8,7 +8,7 @@
 //! ever-growing fleets: the admitted plan is the tenant's contract.
 
 use crate::job::Job;
-use perfmodel::{adjusted_deadline, adjustment_factor, Fit, ResidualStats};
+use perfmodel::{adjusted_for, Fit};
 use provision::{make_plan, Plan, ProvisionError, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -71,13 +71,6 @@ pub enum Admission {
     },
     /// Turned away with a permanent reason.
     Rejected(RejectReason),
-}
-
-/// The adjusted deadline `D′ = D/(1+a)` for this fit at miss probability
-/// `p_miss`.
-pub fn adjusted_for(fit: &Fit, deadline_secs: f64, p_miss: f64) -> f64 {
-    let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-    adjusted_deadline(deadline_secs, adjustment_factor(&res, p_miss))
 }
 
 /// Decide whether `job` can ever be served: size its fleet by inverting

@@ -26,6 +26,11 @@ if [[ $fast -eq 0 ]]; then
   # The analyzer prints its own wall time on the summary line.
   echo "==> reshape-lint (ratchet vs results/LINT_baseline.json, writes results/LINT.json + results/LINT.sarif)"
   cargo run --release -q -p lint -- --baseline results/LINT_baseline.json --sarif results/LINT.sarif
+  # The benchmark is its own package with a committed lockfile that pins
+  # every crate edge; building it --locked fails fast when a public name
+  # it imports disappears or a crate's dependencies change.
+  echo "==> perfbench build (--locked against perfbench/Cargo.lock)"
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test -q (tier-1)"
