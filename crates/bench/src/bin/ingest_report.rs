@@ -3,6 +3,8 @@
 //! `results/BENCH_ingest.json`: admission throughput, segment counts,
 //! bin counts and fill, compaction effect, and how far each policy's
 //! output drifts from the batch pack (flush-only must not drift at all).
+//! Throughput is files admitted per host second: the manifest's bytes are
+//! never materialised, so a byte rate would be fiction.
 //!
 //! Before writing anything the report re-runs the first policy with a
 //! recording sink and asserts both the NDJSON log and the reshaped file
@@ -38,7 +40,7 @@ struct PolicyRow {
     compacted_bins: u64,
     matches_batch: bool,
     elapsed_secs: f64,
-    mb_per_sec: f64,
+    files_per_sec: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -164,7 +166,7 @@ fn main() {
             compacted_bins: counter("ingest.compacted_bins"),
             matches_batch: out == batch,
             elapsed_secs: elapsed,
-            mb_per_sec: manifest.total_volume() as f64 / 1e6 / elapsed.max(1e-9),
+            files_per_sec: manifest.len() as f64 / elapsed.max(1e-9),
         });
     }
 
@@ -190,7 +192,7 @@ fn main() {
             "fill",
             "compacted",
             "batch?",
-            "MB/s",
+            "files/s",
         ],
     );
     for r in &rows {
@@ -203,7 +205,7 @@ fn main() {
             format!("{:.2}", r.mean_fill),
             r.compacted_bins.to_string(),
             if r.matches_batch { "=" } else { "≠" }.to_string(),
-            format!("{:.1}", r.mb_per_sec),
+            format!("{:.0}", r.files_per_sec),
         ]);
     }
     table.print();

@@ -53,10 +53,14 @@ pub const INDEX_ENTRY_BYTES: u64 = 28;
 /// Size of the fixed footer in bytes.
 pub const FOOTER_BYTES: u64 = 32;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table and `CRC_TABLES[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so eight table reads fold eight input bytes
+/// into the state at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i: u32 = 0;
     while i < 256 {
         let mut c = i;
@@ -69,10 +73,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i as usize] = c;
+        tables[0][i as usize] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 (IEEE 802.3) state, for checksums spanning multiple
@@ -88,12 +102,25 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feed `bytes` into the checksum.
+    /// Feed `bytes` into the checksum: eight bytes per step through the
+    /// slicing-by-8 tables, then the sub-word tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            let idx = ((c ^ u32::from(b)) & 0xFF) as usize;
-            c = CRC_TABLE[idx] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let s = c.to_le_bytes();
+            c = t[7][usize::from(w[0] ^ s[0])]
+                ^ t[6][usize::from(w[1] ^ s[1])]
+                ^ t[5][usize::from(w[2] ^ s[2])]
+                ^ t[4][usize::from(w[3] ^ s[3])]
+                ^ t[3][usize::from(w[4])]
+                ^ t[2][usize::from(w[5])]
+                ^ t[1][usize::from(w[6])]
+                ^ t[0][usize::from(w[7])];
+        }
+        for &b in words.remainder() {
+            c = t[0][usize::from(b ^ c.to_le_bytes()[0])] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -329,7 +356,8 @@ impl ContainerWriter {
     }
 
     /// Seal the container: append the index and footer and return the
-    /// complete blob.
+    /// complete blob. The payload buffer is not reallocated when it was
+    /// sized up front (see [`container_from_bin`]).
     pub fn finish(self) -> Vec<u8> {
         let mut out = self.payload;
         let index_offset = out.len() as u64;
@@ -340,10 +368,10 @@ impl ContainerWriter {
             out.extend_from_slice(&e.len.to_le_bytes());
             out.extend_from_slice(&e.crc.to_le_bytes());
         }
-        let mut footer_head = Vec::with_capacity(20);
-        footer_head.extend_from_slice(&index_offset.to_le_bytes());
-        footer_head.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        footer_head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        let mut footer_head = [0u8; 20];
+        footer_head[..8].copy_from_slice(&index_offset.to_le_bytes());
+        footer_head[8..16].copy_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        footer_head[16..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
         let mut crc = Crc32::new();
         crc.update(&out[index_start..]);
         crc.update(&footer_head);
@@ -584,12 +612,24 @@ pub fn read_container_file(path: &Path) -> Result<Vec<u8>, ContainerError> {
 /// This is the bridge between the packing layer (which sees only sizes)
 /// and the storage layer (which holds bytes): the streaming ingest sink
 /// uses it to turn sealed bins into unit files.
+///
+/// The output buffer and the index are sized from the bin up front
+/// (`bin.used` payload bytes plus the index and footer), so when every
+/// payload is `item.size` bytes long each one is copied exactly once and
+/// sealing never reallocates.
 pub fn container_from_bin(
     bin: &Bin,
     name_of: impl Fn(&Item) -> String,
     payload_of: impl Fn(&Item) -> Vec<u8>,
 ) -> Result<Vec<u8>, ContainerError> {
-    let mut w = ContainerWriter::new();
+    let members = bin.items.len();
+    let metadata = members * INDEX_ENTRY_BYTES as usize + FOOTER_BYTES as usize;
+    let payload = usize::try_from(bin.used).unwrap_or(0);
+    let mut w = ContainerWriter {
+        payload: Vec::with_capacity(payload.saturating_add(metadata)),
+        entries: Vec::with_capacity(members),
+        seen: BTreeSet::new(),
+    };
     for item in &bin.items {
         w.add(&name_of(item), &payload_of(item))?;
     }
@@ -613,6 +653,11 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Longer than one 8-byte step: exercises the sliced path and tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

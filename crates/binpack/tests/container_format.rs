@@ -1,7 +1,9 @@
 //! Container-format tests: byte-level round-trip properties, index/linear
-//! agreement, and the four committed corruption fixtures (truncated footer,
+//! agreement, the four committed corruption fixtures (truncated footer,
 //! bad magic, payload CRC mismatch, overlapping-extent index) — each must
-//! be rejected with its typed `ContainerError`, never a panic.
+//! be rejected with its typed `ContainerError`, never a panic — a
+//! differential check of the slicing-by-8 CRC against a bytewise
+//! reference, and a mutation fuzz over valid multi-member containers.
 //!
 //! The fixtures live in `tests/fixtures/container/` and are committed so
 //! the on-disk format is pinned: the tests rebuild each corruption in
@@ -12,6 +14,7 @@
 
 use std::path::PathBuf;
 
+use binpack::container::Crc32;
 use binpack::{
     crc32, member_name_hash, Container, ContainerError, ContainerWriter, FORMAT_VERSION, MAGIC,
 };
@@ -309,5 +312,210 @@ proptest! {
         // Which typed error depends on where the cut lands; all are fine,
         // a panic or an Ok is not.
         prop_assert!(!err.to_string().is_empty());
+    }
+}
+
+/// Bytewise table-driven CRC-32 (IEEE), the textbook form the library's
+/// slicing-by-8 kernel must reproduce.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| {
+            (0..8).fold(i, |c, _| {
+                if c & 1 == 1 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+        .collect();
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[usize::from(b ^ c.to_le_bytes()[0])] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+#[test]
+fn reference_crc32_matches_known_vectors() {
+    // Anchors the reference the differential property compares against.
+    assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(
+        reference_crc32(b"The quick brown fox jumps over the lazy dog"),
+        0x414F_A339
+    );
+}
+
+/// A multi-member container from payload sizes, plus its member names.
+fn container_of(sizes: &[usize]) -> (Vec<u8>, Vec<String>) {
+    let mut w = ContainerWriter::new();
+    let names: Vec<String> = (0..sizes.len()).map(|i| format!("member/{i}")).collect();
+    for (i, (name, &size)) in names.iter().zip(sizes).enumerate() {
+        w.add(name, &payload_for(i, size)).unwrap();
+    }
+    (w.finish(), names)
+}
+
+/// Recompute the footer CRC over whatever index the (possibly mutated)
+/// footer now points at, so a mutation gets past the checksum and reaches
+/// the structural checks behind it.
+fn reseal_footer(blob: &mut [u8]) {
+    let n = blob.len();
+    if n < 32 {
+        return;
+    }
+    let mut at = [0u8; 8];
+    at.copy_from_slice(&blob[n - 32..n - 24]);
+    if let Ok(index_start) = usize::try_from(u64::from_le_bytes(at)) {
+        if index_start <= n - 32 {
+            let crc = crc32(&blob[index_start..n - 12]);
+            blob[n - 12..n - 8].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+}
+
+/// Parse `blob` and exercise every read path. Any outcome is fine as long
+/// as it is `Ok` or a typed error that displays; a panic fails the test.
+/// A container that parses must keep every extent inside its payload and
+/// every name hash unique.
+fn read_everything(blob: &[u8], names: &[String]) {
+    let c = match Container::parse(blob) {
+        Ok(c) => c,
+        Err(e) => {
+            assert!(!e.to_string().is_empty());
+            return;
+        }
+    };
+    for e in c.entries() {
+        let end = e.offset.checked_add(e.len);
+        assert!(end.is_some_and(|end| end <= c.payload_bytes()), "{e:?}");
+    }
+    let mut hashes: Vec<u64> = c.entries().iter().map(|e| e.name_hash).collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(hashes.len(), c.member_count(), "duplicate name hash parsed");
+    for i in 0..c.member_count() + 1 {
+        if let Err(e) = c.member(i) {
+            assert!(!e.to_string().is_empty());
+        }
+    }
+    for name in names.iter().map(String::as_str).chain(["no/such/member"]) {
+        if let Err(e) = c.get(name) {
+            assert!(!e.to_string().is_empty());
+        }
+    }
+    if let Err(e) = c.verify() {
+        assert!(!e.to_string().is_empty());
+    }
+}
+
+/// `(offset, width)` of every index and footer field except the magic, in
+/// a valid container of `members` members.
+fn metadata_fields(blob_len: usize, members: usize) -> Vec<(usize, usize)> {
+    let footer = blob_len - 32;
+    let index_start = footer - 28 * members;
+    let mut fields = Vec::new();
+    for at in (0..members).map(|i| index_start + 28 * i) {
+        fields.extend([(at, 8), (at + 8, 8), (at + 16, 8), (at + 24, 4)]);
+    }
+    fields.extend([
+        (footer, 8),
+        (footer + 8, 8),
+        (footer + 16, 4),
+        (footer + 20, 4),
+    ]);
+    fields
+}
+
+/// A forged field value: an edge case three times in four (small, near
+/// `u64::MAX`, just under the blob length), otherwise the raw pick.
+fn forged_value(pick: u64, blob_len: u64) -> u64 {
+    let small = (pick >> 8) % 64;
+    match pick % 4 {
+        0 => small,
+        1 => u64::MAX - small,
+        2 => blob_len.saturating_sub(small),
+        _ => pick,
+    }
+}
+
+/// One mutation of a valid container of `members` members, driven by
+/// `picks` (1–8 random words). `kind` 0 overwrites one arbitrary byte per
+/// pick; 1 does the same and then reseals the footer CRC; 2 forges one
+/// index or footer field per pick (an edge value, or a copy of the same
+/// field of the previous entry) and reseals, so the mutation reaches the
+/// structural checks behind the checksum; 3 truncates at an arbitrary
+/// point; 4 appends the picks' bytes after the magic.
+fn mutate(mut blob: Vec<u8>, members: usize, kind: u8, picks: &[u64]) -> Vec<u8> {
+    let len = blob.len() as u64;
+    match kind {
+        0 | 1 => {
+            for &pick in picks {
+                let at = usize::try_from(pick % len).unwrap();
+                blob[at] = pick.to_le_bytes()[7];
+            }
+            if kind == 1 {
+                reseal_footer(&mut blob);
+            }
+        }
+        2 => {
+            let fields = metadata_fields(blob.len(), members);
+            for &pick in picks {
+                let k = usize::try_from(pick >> 32).unwrap() % fields.len();
+                let (at, width) = fields[k];
+                if pick % 5 == 4 {
+                    // The same field of the previous entry: duplicate name
+                    // hashes and coinciding extents.
+                    let (from, from_width) = fields[(k + fields.len() - 4) % fields.len()];
+                    blob.copy_within(from..from + width.min(from_width), at);
+                } else {
+                    blob[at..at + width]
+                        .copy_from_slice(&forged_value(pick, len).to_le_bytes()[..width]);
+                }
+            }
+            reseal_footer(&mut blob);
+        }
+        3 => blob.truncate(usize::try_from(picks[0] % len).unwrap()),
+        _ => blob.extend(picks.iter().flat_map(|p| p.to_le_bytes())),
+    }
+    blob
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Slicing-by-8 equals the bytewise reference on unaligned slices of
+    /// random buffers, one-shot and streamed over arbitrary split points.
+    #[test]
+    fn crc32_matches_the_bytewise_reference(
+        buf in prop::collection::vec(any::<u8>(), 0..4096),
+        skip in 0usize..8,
+        splits in prop::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let data = &buf[skip.min(buf.len())..];
+        let expected = reference_crc32(data);
+        prop_assert_eq!(crc32(data), expected);
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut crc = Crc32::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            crc.update(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(crc.finish(), expected);
+    }
+
+    /// Mutating a valid multi-member container never panics any reader:
+    /// parse, every member, every lookup and verify return `Ok` or a typed
+    /// `ContainerError`.
+    #[test]
+    fn mutated_containers_never_panic(
+        sizes in prop::collection::vec(0usize..300, 2..12),
+        kind in 0u8..5,
+        picks in prop::collection::vec(any::<u64>(), 1..=8),
+    ) {
+        let (blob, names) = container_of(&sizes);
+        read_everything(&mutate(blob, sizes.len(), kind, &picks), &names);
     }
 }

@@ -86,6 +86,12 @@ impl Grep {
     }
 
     /// Run over a buffer, line-oriented like `grep file`.
+    ///
+    /// One left-to-right scan of the whole buffer. Lines exclude their
+    /// `\n`, so a match never spans one and the leftmost non-overlapping
+    /// matches are exactly those a per-line scan finds; a line-end
+    /// watermark counts each matching line once. A pattern containing
+    /// `\n` can therefore never match.
     pub fn run(&self, input: &[u8]) -> GrepOutcome {
         let mut outcome = GrepOutcome {
             matching_lines: 0,
@@ -93,16 +99,34 @@ impl Grep {
             bytes_scanned: input.len() as u64,
             lines: Vec::new(),
         };
-        for line in input.split(|&b| b == b'\n') {
-            let c = self.count(line);
-            if c > 0 {
+        if self.pattern.contains(&b'\n') {
+            return outcome;
+        }
+        let line_end = |from: usize| {
+            input[from..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(input.len(), |i| from + i)
+        };
+        // Start of the first line not yet counted.
+        let mut watermark = 0;
+        let mut at = 0;
+        while let Some(pos) = self.find(input, at) {
+            outcome.occurrences += 1;
+            at = pos + self.pattern.len();
+            if pos >= watermark {
+                let end = line_end(at);
                 outcome.matching_lines += 1;
-                outcome.occurrences += c;
                 if self.capture_lines {
+                    let start = input[..pos]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |i| i + 1);
                     outcome
                         .lines
-                        .push(String::from_utf8_lossy(line).into_owned());
+                        .push(String::from_utf8_lossy(&input[start..end]).into_owned());
                 }
+                watermark = end + 1;
             }
         }
         outcome

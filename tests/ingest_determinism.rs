@@ -108,6 +108,21 @@ fn different_arrival_seeds_change_the_log() {
     assert_ne!(a, b, "shuffled arrival order must depend on the seed");
 }
 
+/// Synthetic payload of `size` bytes whose byte `j` is `(id + j) % 251`,
+/// copied out of one 251-byte cycle a run at a time.
+fn cycle_payload(id: u64, size: u64) -> Vec<u8> {
+    let cycle: Vec<u8> = (0..=250).collect();
+    let size = usize::try_from(size).expect("payload fits in memory");
+    let mut at = usize::try_from(id % 251).expect("below 251");
+    let mut out = Vec::with_capacity(size);
+    while out.len() < size {
+        let run = (cycle.len() - at).min(size - out.len());
+        out.extend_from_slice(&cycle[at..at + run]);
+        at = 0;
+    }
+    out
+}
+
 /// Drive the online packer over a seeded trace and materialise every bin as
 /// an indexed container blob; return the concatenated container bytes.
 fn containers_for_trace(seed: u64) -> Vec<u8> {
@@ -133,10 +148,7 @@ fn containers_for_trace(seed: u64) -> Vec<u8> {
         let container = container_from_bin(
             bin,
             |it| format!("file-{:08}", it.id),
-            |it| {
-                // Synthetic payload: deterministic bytes of the recorded size.
-                (0..it.size).map(|j| ((it.id + j) % 251) as u8).collect()
-            },
+            |it| cycle_payload(it.id, it.size),
         )
         .expect("bin members have unique names");
         // Each blob must stand alone as a valid container.
@@ -162,4 +174,19 @@ fn same_trace_and_policy_yield_byte_identical_container_bytes() {
         containers_for_trace(12),
         "container bytes must depend on the arrival seed"
     );
+}
+
+#[test]
+fn cycle_payload_matches_the_modular_formula() {
+    for (id, size) in [
+        (0, 0),
+        (0, 1),
+        (7, 250),
+        (250, 3),
+        (251, 600),
+        (1_000_003, 2_000),
+    ] {
+        let expected: Vec<u8> = (0..size).map(|j| ((id + j) % 251) as u8).collect();
+        assert_eq!(cycle_payload(id, size), expected, "id {id}, size {size}");
+    }
 }
