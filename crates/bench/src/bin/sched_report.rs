@@ -9,15 +9,26 @@
 //! logs are byte-identical — the scheduler is deterministic or the
 //! numbers are meaningless.
 //!
-//! `--smoke` / `SMOKE=1` shrinks the trace for CI-speed runs.
+//! The `dispatch_scale` section times `run_trace` itself: host jobs/s,
+//! best of 3, on open-loop traces of 2k–32k jobs with the instance-family
+//! catalog on, so whether dispatch keeps pace as the run grows is a
+//! committed number.
+//!
+//! `--smoke` / `SMOKE=1` shrinks the traces (≤ 4k jobs in the sweep) for
+//! CI-speed runs.
 
 use bench::{smoke, Table, RESULTS_DIR};
-use ec2sim::CloudConfig;
+use ec2sim::{CloudConfig, InstanceFamily};
 use obs::Obs;
 use sched::{run_trace, PoolConfig, SchedConfig, SchedReport, TraceConfig};
 use serde::Serialize;
+use std::time::Instant;
 
 const SEEDS: [u64; 3] = [11, 42, 1009];
+/// Trace seed of the dispatch-scale sweep.
+const SCALE_SEED: u64 = 1;
+/// Timed runs per sweep point; the fastest is reported.
+const SCALE_REPS: usize = 3;
 
 #[derive(Debug, Serialize)]
 struct SeedRow {
@@ -37,6 +48,30 @@ struct SeedRow {
     cold_launches: u64,
 }
 
+/// One point of the dispatch-scale sweep.
+#[derive(Debug, Serialize)]
+struct ScaleRow {
+    jobs: usize,
+    /// Fastest of [`SCALE_REPS`] host wall times of `run_trace` after one
+    /// untimed warm-up run, seconds.
+    best_secs: f64,
+    jobs_per_sec: f64,
+    deferrals: u64,
+    missed: usize,
+    total_cost: f64,
+}
+
+#[derive(Debug, Serialize)]
+struct DispatchScale {
+    /// Host threads (`available_parallelism`); dispatch is single-threaded.
+    nproc: usize,
+    seed: u64,
+    mean_interarrival_secs: f64,
+    catalog: bool,
+    reps: usize,
+    points: Vec<ScaleRow>,
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
     trace_jobs: usize,
@@ -44,6 +79,7 @@ struct Report {
     pool_capacity: usize,
     log_byte_identical_across_runs: bool,
     seeds: Vec<SeedRow>,
+    dispatch_scale: DispatchScale,
 }
 
 fn trace_config(seed: u64) -> TraceConfig {
@@ -82,6 +118,72 @@ fn run(seed: u64, warm_reuse: bool, obs: Option<Obs>) -> SchedReport {
     }
     let trace = trace_config(seed).generate();
     run_trace(&cfg, &trace).expect("scheduling run failed")
+}
+
+/// Host throughput of `run_trace` on growing open-loop traces with the
+/// catalog on (the `tenant_burst` configuration).
+fn dispatch_scale() -> DispatchScale {
+    let sizes: &[usize] = if smoke() {
+        &[1_000, 2_000, 4_000]
+    } else {
+        &[2_000, 4_000, 8_000, 16_000, 32_000]
+    };
+    let mean_gap = TraceConfig::default().mean_interarrival_secs;
+    let mut cfg = SchedConfig {
+        catalog: Some(InstanceFamily::catalog()),
+        ..SchedConfig::default()
+    };
+    cfg.cloud.seed = SCALE_SEED;
+    let mut table = Table::new(
+        "dispatch scale: run_trace host throughput, catalog on, best of 3",
+        &["jobs", "best (s)", "jobs/s", "deferrals", "missed"],
+    );
+    let mut points = Vec::new();
+    for &jobs in sizes {
+        let trace = TraceConfig {
+            jobs,
+            seed: SCALE_SEED,
+            ..TraceConfig::default()
+        }
+        .generate();
+        // An untimed warm-up run supplies the simulated outcome.
+        let report = run_trace(&cfg, &trace).expect("scheduling run failed");
+        let mut best = f64::INFINITY;
+        for _ in 0..SCALE_REPS {
+            let start = Instant::now();
+            let timed = run_trace(&cfg, &trace).expect("scheduling run failed");
+            best = best.min(start.elapsed().as_secs_f64());
+            assert!(
+                timed == report,
+                "same trace, same config, different schedule"
+            );
+        }
+        let row = ScaleRow {
+            jobs,
+            best_secs: best,
+            jobs_per_sec: jobs as f64 / best,
+            deferrals: report.jobs.iter().map(|j| j.deferrals).sum(),
+            missed: report.missed,
+            total_cost: report.total_cost,
+        };
+        table.row(vec![
+            jobs.to_string(),
+            format!("{best:.3}"),
+            format!("{:.0}", row.jobs_per_sec),
+            row.deferrals.to_string(),
+            row.missed.to_string(),
+        ]);
+        points.push(row);
+    }
+    table.print();
+    DispatchScale {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        seed: SCALE_SEED,
+        mean_interarrival_secs: mean_gap,
+        catalog: true,
+        reps: SCALE_REPS,
+        points,
+    }
 }
 
 fn main() {
@@ -165,6 +267,7 @@ fn main() {
         pool_capacity: PoolConfig::default().capacity,
         log_byte_identical_across_runs: identical,
         seeds: rows,
+        dispatch_scale: dispatch_scale(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let dir = std::path::PathBuf::from(RESULTS_DIR);

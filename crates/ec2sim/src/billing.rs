@@ -60,8 +60,12 @@ impl BillingLedger {
     }
 
     /// Record (or refresh) the bill of `instance` as of simulation time
-    /// `now`.
-    pub fn record(&mut self, instance: &Instance, now: f64) {
+    /// `now`, in O(1). `slot` is the position this instance's bill already
+    /// holds — what the first record returned — or `None` the first time,
+    /// which appends the bill. Returns the bill's position. Bills keep their
+    /// first-recorded order; the caller keeps the slots because the ledger
+    /// is serialized and carries no index of its own.
+    pub fn record(&mut self, slot: Option<usize>, instance: &Instance, now: f64) -> usize {
         let seconds = instance.running_seconds(now);
         let hours = billed_hours(seconds);
         let bill = InstanceBill {
@@ -70,9 +74,15 @@ impl BillingLedger {
             billed_hours: hours,
             cost: hours as f64 * instance.hourly_rate,
         };
-        match self.bills.iter_mut().find(|b| b.id == instance.id) {
-            Some(existing) => *existing = bill,
-            None => self.bills.push(bill),
+        match slot.filter(|&i| self.bills.get(i).is_some_and(|b| b.id == instance.id)) {
+            Some(i) => {
+                self.bills[i] = bill;
+                i
+            }
+            None => {
+                self.bills.push(bill);
+                self.bills.len() - 1
+            }
         }
     }
 
@@ -154,7 +164,7 @@ mod tests {
     fn pending_time_is_free() {
         let mut ledger = BillingLedger::new();
         let i = instance(1, 180.0, Some(3_780.0)); // ran exactly 1 h
-        ledger.record(&i, 10_000.0);
+        ledger.record(None, &i, 10_000.0);
         assert_eq!(ledger.total_instance_hours(), 1);
         assert!((ledger.total_cost() - 0.085).abs() < 1e-12);
     }
@@ -163,9 +173,9 @@ mod tests {
     fn rerecording_updates_not_duplicates() {
         let mut ledger = BillingLedger::new();
         let i = instance(1, 0.0, None);
-        ledger.record(&i, 1_800.0);
+        let slot = ledger.record(None, &i, 1_800.0);
         assert_eq!(ledger.total_instance_hours(), 1);
-        ledger.record(&i, 4_000.0);
+        assert_eq!(ledger.record(Some(slot), &i, 4_000.0), slot);
         assert_eq!(ledger.total_instance_hours(), 2);
         assert_eq!(ledger.bills().len(), 1);
     }
@@ -175,7 +185,7 @@ mod tests {
         let mut ledger = BillingLedger::new();
         for id in 0..27 {
             let i = instance(id, 180.0, Some(180.0 + 3_500.0));
-            ledger.record(&i, 10_000.0);
+            ledger.record(None, &i, 10_000.0);
         }
         // The paper's Fig 8(a) plan: 27 instances × 1 hour.
         assert_eq!(ledger.total_instance_hours(), 27);
@@ -186,7 +196,7 @@ mod tests {
     fn never_ran_never_billed() {
         let mut ledger = BillingLedger::new();
         let i = instance(1, 500.0, Some(100.0)); // terminated while pending
-        ledger.record(&i, 1_000.0);
+        ledger.record(None, &i, 1_000.0);
         assert_eq!(ledger.total_instance_hours(), 0);
         assert_eq!(ledger.total_cost(), 0.0);
     }

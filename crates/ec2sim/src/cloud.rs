@@ -13,6 +13,8 @@ use corpus::FileSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use textapps::{AppCostModel, ExecEnv};
 
 /// Tunable characteristics of the simulated cloud.
@@ -123,7 +125,29 @@ pub struct RunReport {
     pub files: usize,
 }
 
+/// A simulated time ordered by `f64::total_cmp` (times are finite).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct At(f64);
+
+impl Eq for At {}
+
+impl PartialOrd for At {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for At {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// The simulated cloud.
+///
+/// Launch, terminate and bill do work independent of how many instances
+/// and volumes the run has created: the live count, each instance's
+/// attached volumes and each instance's bill are indexed, not scanned.
 #[derive(Debug)]
 pub struct Cloud {
     config: CloudConfig,
@@ -133,8 +157,20 @@ pub struct Cloud {
     /// S3-like object store (shared, region-wide).
     pub s3: ObjectStore,
     ledger: BillingLedger,
+    /// Ledger position of each instance's bill, by instance id (`None`
+    /// until first billed). Kept here because the ledger is serialized.
+    bill_slots: Vec<Option<usize>>,
+    /// Instances whose termination time is at or before `now`.
+    retired: usize,
+    /// Termination times still after `now`, earliest first. An instance
+    /// terminated in the future holds its cap slot until then; `now` only
+    /// moves forward, so popping up to `now` moves each into `retired`
+    /// exactly when its `state_at(now)` turns `TerminatedState`.
+    retiring: BinaryHeap<Reverse<At>>,
+    /// Volumes attached to each holder (an entry per current holder).
+    held: BTreeMap<InstanceId, Vec<VolumeId>>,
     rng: StdRng,
-    busy: std::collections::BTreeMap<InstanceId, f64>,
+    busy: BTreeMap<InstanceId, f64>,
     faults: FaultState,
     /// Observability sink (no-op by default). Fired fault events are
     /// forwarded to it as they take effect.
@@ -154,7 +190,11 @@ impl Cloud {
             volumes: Vec::new(),
             s3: ObjectStore::new(),
             ledger: BillingLedger::new(),
-            busy: std::collections::BTreeMap::new(),
+            bill_slots: Vec::new(),
+            retired: 0,
+            retiring: BinaryHeap::new(),
+            held: BTreeMap::new(),
+            busy: BTreeMap::new(),
             faults: FaultState::default(),
             obs: obs::Obs::default(),
             faults_emitted: 0,
@@ -204,24 +244,55 @@ impl Cloud {
     /// interval (flat per-started-hour, §1.1 — preemption never prorates)
     /// and return the error the caller must propagate.
     fn apply_crash(&mut self, id: InstanceId, at: f64, preempt: bool) -> CloudError {
-        for v in &mut self.volumes {
-            if v.attached_to == Some(id) {
-                v.attached_to = None;
-            }
-        }
-        if let Some(inst) = self.instances.get_mut(id.0 as usize) {
-            if inst.terminated_at.is_none() {
-                inst.terminated_at = Some(at);
-                let snapshot = self.instances[id.0 as usize].clone();
-                self.ledger.record(&snapshot, at);
-                self.faults.log_crash(id.0, at, preempt);
-            }
+        if self.end_instance(id, at).is_ok() {
+            self.faults.log_crash(id.0, at, preempt);
         }
         self.flush_fault_events();
         if preempt {
             CloudError::SpotPreempted(id)
         } else {
             CloudError::InstanceCrashed(id)
+        }
+    }
+
+    /// The one termination path: detach `id`'s volumes, then — unless it
+    /// already ended — end it at `at`, bill its running interval and
+    /// release its cap slot as of `at`.
+    fn end_instance(&mut self, id: InstanceId, at: f64) -> Result<(), CloudError> {
+        for vol in self.held.remove(&id).unwrap_or_default() {
+            if let Some(v) = self.volumes.get_mut(vol.0 as usize) {
+                v.attached_to = None;
+            }
+        }
+        let inst = self.instance_mut(id)?;
+        if inst.terminated_at.is_some() {
+            return Err(CloudError::Terminated(id));
+        }
+        inst.terminated_at = Some(at);
+        self.record_bill(id, at);
+        if at <= self.now {
+            self.retired += 1;
+        } else {
+            self.retiring.push(Reverse(At(at)));
+        }
+        Ok(())
+    }
+
+    /// Instances not yet terminated as of `now` — what
+    /// `state_at(now) != TerminatedState` counts over every instance.
+    fn live_instances(&mut self) -> usize {
+        while self.retiring.peek().is_some_and(|r| r.0 .0 <= self.now) {
+            self.retiring.pop();
+            self.retired += 1;
+        }
+        self.instances.len() - self.retired
+    }
+
+    /// Record (or refresh) the bill of instance `id` as of `now`.
+    fn record_bill(&mut self, id: InstanceId, now: f64) {
+        let i = id.0 as usize;
+        if let (Some(inst), Some(slot)) = (self.instances.get(i), self.bill_slots.get_mut(i)) {
+            *slot = Some(self.ledger.record(*slot, inst, now));
         }
     }
 
@@ -266,12 +337,7 @@ impl Cloud {
         itype: InstanceType,
         zone: AvailabilityZone,
     ) -> Result<InstanceId, CloudError> {
-        let live = self
-            .instances
-            .iter()
-            .filter(|i| i.state_at(self.now) != InstanceState::TerminatedState)
-            .count();
-        if live >= self.config.instance_cap {
+        if self.live_instances() >= self.config.instance_cap {
             return Err(CloudError::InstanceCapReached(self.config.instance_cap));
         }
         let id = InstanceId(self.instances.len() as u64);
@@ -304,6 +370,7 @@ impl Cloud {
             quality,
             hourly_rate: itype.hourly_rate(),
         });
+        self.bill_slots.push(None);
         self.flush_fault_events();
         Ok(id)
     }
@@ -369,21 +436,7 @@ impl Cloud {
     /// Terminate an instance. Bills its running time; an instance that
     /// never reached `Running` is free.
     pub fn terminate(&mut self, id: InstanceId) -> Result<(), CloudError> {
-        let now = self.now;
-        // Detach any volumes it holds.
-        for v in &mut self.volumes {
-            if v.attached_to == Some(id) {
-                v.attached_to = None;
-            }
-        }
-        let inst = self.instance_mut(id)?;
-        if inst.terminated_at.is_some() {
-            return Err(CloudError::Terminated(id));
-        }
-        inst.terminated_at = Some(now);
-        let inst = self.instances[id.0 as usize].clone();
-        self.ledger.record(&inst, now);
-        Ok(())
+        self.end_instance(id, self.now)
     }
 
     /// Create an EBS volume in `zone`.
@@ -461,6 +514,7 @@ impl Cloud {
         }
         if let Some(v) = self.volumes.get_mut(vol.0 as usize) {
             v.attached_to = Some(inst);
+            self.held.entry(inst).or_default().push(vol);
         }
         Ok(true)
     }
@@ -500,25 +554,23 @@ impl Cloud {
             .volumes
             .get_mut(vol.0 as usize)
             .ok_or(CloudError::NoSuchVolume(vol))?;
-        if v.attached_to.is_none() {
-            return Err(CloudError::VolumeNotAttached(vol));
+        let holder = v
+            .attached_to
+            .take()
+            .ok_or(CloudError::VolumeNotAttached(vol))?;
+        if let Some(vols) = self.held.get_mut(&holder) {
+            vols.retain(|&h| h != vol);
+            if vols.is_empty() {
+                self.held.remove(&holder);
+            }
         }
-        v.attached_to = None;
         Ok(())
     }
 
     /// Detach a volume from whatever holds it.
     pub fn detach_volume(&mut self, vol: VolumeId) -> Result<(), CloudError> {
-        let overhead = self.config.attach_overhead_s;
-        let v = self
-            .volumes
-            .get_mut(vol.0 as usize)
-            .ok_or(CloudError::NoSuchVolume(vol))?;
-        if v.attached_to.is_none() {
-            return Err(CloudError::VolumeNotAttached(vol));
-        }
-        v.attached_to = None;
-        self.now += overhead;
+        self.detach_volume_at(vol)?;
+        self.now += self.config.attach_overhead_s;
         Ok(())
     }
 
@@ -588,19 +640,7 @@ impl Cloud {
     /// Terminate an instance at a specific time on its own timeline
     /// (companion to [`Cloud::submit_job`]); bills its running interval.
     pub fn terminate_at(&mut self, id: InstanceId, at: f64) -> Result<(), CloudError> {
-        for v in &mut self.volumes {
-            if v.attached_to == Some(id) {
-                v.attached_to = None;
-            }
-        }
-        let inst = self.instance_mut(id)?;
-        if inst.terminated_at.is_some() {
-            return Err(CloudError::Terminated(id));
-        }
-        inst.terminated_at = Some(at);
-        let snapshot = self.instances[id.0 as usize].clone();
-        self.ledger.record(&snapshot, at);
-        Ok(())
+        self.end_instance(id, at)
     }
 
     /// The execution environment a run would see — quality × placement ×
@@ -675,8 +715,7 @@ impl Cloud {
             }
         }
         self.now += observed;
-        let snapshot = self.instances[inst.0 as usize].clone();
-        self.ledger.record(&snapshot, self.now);
+        self.record_bill(inst, self.now);
         self.flush_fault_events();
         Ok(RunReport {
             instance: inst,
@@ -718,10 +757,9 @@ impl Cloud {
     /// the total cost.
     pub fn settle(&mut self) -> f64 {
         let now = self.now;
-        let snapshots: Vec<Instance> = self.instances.to_vec();
-        for inst in &snapshots {
-            if inst.running_seconds(now) > 0.0 {
-                self.ledger.record(inst, now);
+        for i in 0..self.instances.len() {
+            if self.instances[i].running_seconds(now) > 0.0 {
+                self.record_bill(InstanceId(i as u64), now);
             }
         }
         self.ledger.total_cost()

@@ -23,6 +23,7 @@ use ec2sim::{Cloud, CloudConfig, CloudError, FaultConfig, FaultPlan, InstanceFam
 use obs::Obs;
 use provision::{execute_plan_resilient_sourced, ExecutionConfig, Plan, RetryPolicy};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything a scheduling run needs.
@@ -82,7 +83,7 @@ pub enum SchedError {
     /// scheduler invariant violation (admission must guarantee every
     /// queued job eventually fits an empty pool).
     Stalled {
-        /// Jobs still waiting.
+        /// Jobs left without an outcome.
         pending: usize,
     },
 }
@@ -124,6 +125,14 @@ impl Ord for EventTime {
     }
 }
 
+/// Dispatch order of a queued job: priority desc, absolute deadline asc
+/// (EDF), job id asc, then trace position. Every part is fixed at
+/// admission, and the trace position makes the key unique even in a
+/// hand-built trace that repeats an id, so iterating the pending map
+/// visits jobs in exactly the order a stable sort by the first three parts
+/// would. The queue is therefore never re-sorted.
+type QueueKey = (Reverse<u8>, EventTime, u64, usize);
+
 /// An admitted job waiting to dispatch.
 struct Queued {
     idx: usize,
@@ -150,7 +159,7 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
 
     let n = trace.jobs.len();
     let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<Queued> = Vec::new();
+    let mut pending: BTreeMap<QueueKey, Queued> = BTreeMap::new();
     // (finish, tenant) of running jobs; inflight counts per tenant.
     let mut running: Vec<(f64, u32)> = Vec::new();
     let mut inflight: BTreeMap<u32, usize> = BTreeMap::new();
@@ -207,14 +216,23 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
             match (plan, admission) {
                 (Some(plan), admission @ Admission::Accepted { .. }) => {
                     obs.count("sched.admitted", 1);
-                    pending.push(Queued {
-                        idx: arrival_ix,
-                        instances: plan.instance_count(),
-                        plan,
-                        admission,
-                        deferrals: 0,
-                        last_defer: None,
-                    });
+                    let key = (
+                        Reverse(job.priority),
+                        EventTime(job.absolute_deadline()),
+                        job.id,
+                        arrival_ix,
+                    );
+                    pending.insert(
+                        key,
+                        Queued {
+                            idx: arrival_ix,
+                            instances: plan.instance_count(),
+                            plan,
+                            admission,
+                            deferrals: 0,
+                            last_defer: None,
+                        },
+                    );
                 }
                 (_, admission) => {
                     obs.count("sched.rejected", 1);
@@ -239,18 +257,12 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
             arrival_ix += 1;
         }
 
-        // 4. Dispatch: priority desc, absolute deadline asc (EDF), id asc.
-        pending.sort_by(|a, b| {
-            let (ja, jb) = (&trace.jobs[a.idx], &trace.jobs[b.idx]);
-            jb.priority
-                .cmp(&ja.priority)
-                .then(ja.absolute_deadline().total_cmp(&jb.absolute_deadline()))
-                .then(ja.id.cmp(&jb.id))
-        });
+        // 4. Dispatch in key order: priority desc, absolute deadline asc
+        //    (EDF), id asc.
         let mut dispatched_any = false;
         loop {
             let mut chosen = None;
-            for (qi, q) in pending.iter_mut().enumerate() {
+            for (key, q) in pending.iter_mut() {
                 let job = &trace.jobs[q.idx];
                 let tenant_running = inflight.get(&job.tenant.0).copied().unwrap_or(0);
                 if tenant_running >= cfg.tenant_inflight_cap {
@@ -275,11 +287,12 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
                     obs.count("sched.deferrals", 1);
                     break;
                 }
-                chosen = Some(qi);
+                chosen = Some(*key);
                 break;
             }
-            let Some(qi) = chosen else { break };
-            let q = pending.remove(qi);
+            let Some(q) = chosen.and_then(|key| pending.remove(&key)) else {
+                break;
+            };
             let job = &trace.jobs[q.idx];
             dispatched_any = true;
 
@@ -292,16 +305,34 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
             if let Some(catalog) = &cfg.catalog {
                 let fit = cfg.fits.for_kind(job.app);
                 let free = pool.free_capacity(t).max(q.instances);
+                // `None` stands for the admission plan: at a unit multiplier
+                // `market::family_fit` returns an exact clone of the base
+                // fit, so `plan_on_family` would rebuild exactly the plan
+                // `admit` made from the same files, fit, deadline and p_miss.
                 let best = catalog
                     .iter()
                     .filter_map(|fam| {
-                        market::plan_on_family(&job.files, fit, fam, job.deadline_secs, cfg.p_miss)
-                            .ok()
-                            .filter(|p| p.instance_count() <= free)
-                            .map(|p| {
-                                let cost = market::expected_plan_cost(&p, fam.on_demand_rate);
-                                (fam, p, cost)
-                            })
+                        // lint:allow(RL004, a unit multiplier is the exact-clone case of `market::family_fit` — reusing the admission plan is only bit-for-bit equal there, so the compare is deliberately exact)
+                        let fam_plan = if fam.perf_multiplier == 1.0 {
+                            None
+                        } else {
+                            Some(
+                                market::plan_on_family(
+                                    &job.files,
+                                    fit,
+                                    fam,
+                                    job.deadline_secs,
+                                    cfg.p_miss,
+                                )
+                                .ok()?,
+                            )
+                        };
+                        let p = fam_plan.as_ref().unwrap_or(&plan);
+                        if p.instance_count() > free {
+                            return None;
+                        }
+                        let cost = market::expected_plan_cost(p, fam.on_demand_rate);
+                        Some((fam, fam_plan, cost))
                     })
                     .min_by(|a, b| a.2.total_cmp(&b.2));
                 if let Some((fam, fam_plan, _)) = best {
@@ -310,7 +341,9 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
                         family: Some(*fam),
                         ..cfg.exec
                     };
-                    plan = fam_plan;
+                    if let Some(fam_plan) = fam_plan {
+                        plan = fam_plan;
+                    }
                     family = Some(fam.id);
                     obs.market(
                         fam.id.label(),
@@ -394,16 +427,12 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
     obs.span_end(run_span, makespan);
 
     // Aggregate per-tenant accounts.
+    let jobs = served(outcomes)?;
     let mut tenants: BTreeMap<u32, TenantAccount> = BTreeMap::new();
-    let mut jobs = Vec::with_capacity(n);
     let (mut completed, mut rejected, mut missed) = (0usize, 0usize, 0usize);
     let mut total_billed = 0u64;
     let mut total_cost = 0.0f64;
-    for (idx, outcome) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = outcome else {
-            return Err(SchedError::Stalled { pending: n - idx });
-        };
-        let job = &trace.jobs[idx];
+    for (outcome, job) in jobs.iter().zip(&trace.jobs) {
         let acct = tenants
             .entry(outcome.tenant.0)
             .or_insert_with(|| TenantAccount::new(outcome.tenant));
@@ -430,7 +459,6 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
                 total_cost += outcome.cost;
             }
         }
-        jobs.push(outcome);
     }
 
     Ok(SchedReport {
@@ -445,4 +473,49 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
         rejected,
         missed,
     })
+}
+
+/// Every job's outcome, in trace order, or [`SchedError::Stalled`] counting
+/// the jobs left without one. The collect reuses the outcomes' buffer.
+fn served(outcomes: Vec<Option<JobOutcome>>) -> Result<Vec<JobOutcome>, SchedError> {
+    let unserved = outcomes.iter().filter(|o| o.is_none()).count();
+    outcomes
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or(SchedError::Stalled { pending: unserved })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::TenantId;
+
+    fn outcome(job_id: u64) -> JobOutcome {
+        JobOutcome {
+            job_id,
+            tenant: TenantId(0),
+            admission: Admission::Rejected(crate::admission::RejectReason::EmptyJob),
+            status: JobStatus::Rejected,
+            deferrals: 0,
+            last_defer: None,
+            wait_secs: 0.0,
+            finished_at: 0.0,
+            met_deadline: false,
+            family: None,
+            billed_hours: 0,
+            cost: 0.0,
+            busy_secs: 0.0,
+            lost_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn stall_counts_only_jobs_without_an_outcome() {
+        // The first gap sits at index 1 of 4, but only 2 jobs lack an
+        // outcome: the count is not "everything from the first gap on".
+        let outcomes = vec![Some(outcome(0)), None, Some(outcome(2)), None];
+        assert_eq!(served(outcomes), Err(SchedError::Stalled { pending: 2 }));
+        let all = served(vec![Some(outcome(0)), Some(outcome(1))]).map(|v| v.len());
+        assert_eq!(all, Ok(2));
+    }
 }
