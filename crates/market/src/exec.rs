@@ -19,7 +19,6 @@ use serde::Serialize;
 use textapps::AppCostModel;
 
 use crate::planner::{MarketConfig, PortfolioPlan, Tier};
-use crate::spot::reclaim_plan;
 
 /// Build the scripted [`FaultPlan`] a portfolio's spot lines imply: for
 /// each spot line, every step where the family's price path crosses above
@@ -39,7 +38,7 @@ pub fn reclaim_fault_plan(pplan: &PortfolioPlan, cfg: &MarketConfig) -> FaultPla
         }
         base += count;
     }
-    reclaim_plan(events)
+    FaultPlan::scripted(events)
 }
 
 /// Fleet-level outcome of a portfolio execution, aggregated across lines.

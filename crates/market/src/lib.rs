@@ -13,9 +13,9 @@
 //!   calibrated model onto a family (relative residuals — and hence the
 //!   §5.2 adjustment factor — are invariant under the scaling).
 //! * [`SpotPath`] is a seeded, counter-hashed mean-reverting price
-//!   process per family: same seed ⇒ byte-identical path. Bids convert a
-//!   path into eligible work time, an expected rate, and correlated
-//!   whole-family reclaim instants.
+//!   process per family: same seed ⇒ byte-identical path. One scan,
+//!   [`SpotPath::window`], converts a bid into eligible work time, an
+//!   expected rate, and correlated whole-family reclaim instants.
 //! * [`plan_market`] quotes every (family, tier) pair by inverting the
 //!   family-scaled model under the residual-adjusted deadline, and picks
 //!   the cheapest feasible fleet under the chosen [`MarketStrategy`] —
@@ -42,4 +42,4 @@ pub use planner::{
     expected_plan_cost, family_fit, plan_market, plan_market_observed, plan_on_family, FamilyQuote,
     FleetLine, MarketConfig, MarketReject, MarketStrategy, PortfolioPlan, Tier,
 };
-pub use spot::{reclaim_plan, SpotPath, SPOT_STEP_SECS};
+pub use spot::{BidWindow, SpotPath, SPOT_STEP_SECS};

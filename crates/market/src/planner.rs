@@ -86,6 +86,11 @@ pub enum MarketReject {
     EmptyJob,
     /// No families to quote.
     EmptyCatalog,
+    /// No price path exists at a step that is not finite and positive.
+    InvalidPriceStep {
+        /// The offending `MarketConfig::step_secs`, seconds.
+        step_secs: f64,
+    },
     /// The family's scaled model has no inverse at the (tier-effective)
     /// deadline.
     ModelNotInvertible {
@@ -388,6 +393,11 @@ pub fn plan_market_observed(
     if cfg.catalog.is_empty() {
         return Err(MarketReject::EmptyCatalog);
     }
+    if !(cfg.step_secs.is_finite() && cfg.step_secs > 0.0) {
+        return Err(MarketReject::InvalidPriceStep {
+            step_secs: cfg.step_secs,
+        });
+    }
 
     let want_od = matches!(
         cfg.strategy,
@@ -448,10 +458,10 @@ pub fn plan_market_observed(
         if want_spot {
             let path = cfg.path_for(family, deadline_secs);
             let bid = cfg.bid_for(family);
-            let eligible = path.eligible_secs(bid, 0.0, deadline_secs);
-            let crossings = path.reclaim_times(bid, 0.0, deadline_secs).len();
-            let effective = eligible - crossings as f64 * cfg.resume_penalty_secs;
-            let rate = path.mean_eligible_price(bid, 0.0, deadline_secs);
+            let window = path.window(bid, 0.0, deadline_secs);
+            let effective =
+                window.eligible_secs - window.reclaims.len() as f64 * cfg.resume_penalty_secs;
+            let rate = window.mean_price;
             let outcome = if effective <= 0.0 {
                 Err(ProvisionError::DeadlineBelowFixedCosts {
                     deadline_secs: effective.max(0.0),
@@ -738,6 +748,42 @@ mod tests {
         assert_eq!(
             plan_market(&files, &f, 10.0, &cfg).unwrap_err(),
             MarketReject::EmptyCatalog
+        );
+    }
+
+    #[test]
+    fn invalid_price_step_rejects_before_any_path() {
+        let f = base_fit();
+        let files = corpus(4, 1000);
+        for step_secs in [0.0, -300.0, f64::NAN] {
+            let cfg = MarketConfig {
+                step_secs,
+                ..MarketConfig::default()
+            };
+            let err = plan_market(&files, &f, 10.0, &cfg).unwrap_err();
+            assert!(
+                matches!(err, MarketReject::InvalidPriceStep { step_secs: s }
+                    if s.to_bits() == step_secs.to_bits()),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bid_below_the_path_floor_rejects_instead_of_planning() {
+        // Prices clamp at 0.15× the mean, so a 0.1× bid is never eligible.
+        let f = base_fit();
+        let files = corpus(10, 1.0e8 as u64);
+        let cfg = MarketConfig {
+            catalog: vec![InstanceFamily::standard()],
+            strategy: MarketStrategy::SpotOnly,
+            bid_factor: 0.1,
+            ..MarketConfig::default()
+        };
+        let err = plan_market(&files, &f, 3_600.0, &cfg).unwrap_err();
+        assert!(
+            matches!(err, MarketReject::DeadlineBelowFixedCosts { .. }),
+            "{err:?}"
         );
     }
 

@@ -10,7 +10,7 @@
 //! never perturbs the rest.
 
 use corpus::hash::{fnv1a, splitmix64};
-use ec2sim::{FamilyId, FaultEvent, FaultKind, FaultPlan, InstanceFamily};
+use ec2sim::{FamilyId, FaultEvent, FaultKind, InstanceFamily};
 use serde::Serialize;
 
 /// Default price-path resolution, seconds per step (5 simulated minutes).
@@ -36,6 +36,20 @@ fn draw(base: u64, step: u64, lane: u64) -> f64 {
 fn gauss(u1: f64, u2: f64) -> f64 {
     let r = (-2.0 * u1.max(1e-12).ln()).sqrt();
     r * (std::f64::consts::TAU * u2).cos()
+}
+
+/// What one bid sees of a [`SpotPath`] over a time window.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct BidWindow {
+    /// Seconds the price is at or below the bid: the time a spot
+    /// instance bid at that level actually works.
+    pub eligible_secs: f64,
+    /// Time-weighted mean of the eligible prices, dollars per hour; the
+    /// bid itself when no step is eligible.
+    pub mean_price: f64,
+    /// Step starts where the price crosses above the bid: the instants
+    /// the market reclaims the family's whole spot fleet at that bid.
+    pub reclaims: Vec<f64>,
 }
 
 /// A deterministic spot-price path for one instance family.
@@ -87,16 +101,6 @@ impl SpotPath {
         &self.prices
     }
 
-    /// Steps in the path.
-    pub fn len(&self) -> usize {
-        self.prices.len()
-    }
-
-    /// True when the path has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.prices.is_empty()
-    }
-
     /// Simulated seconds the path covers.
     pub fn horizon_secs(&self) -> f64 {
         self.prices.len() as f64 * self.step_secs
@@ -112,57 +116,32 @@ impl SpotPath {
         self.prices[idx.min(self.prices.len() - 1)]
     }
 
-    /// Seconds inside `[t0, t1]` during which the price is at or below
-    /// `bid` — the time a spot instance bid at that level actually works.
-    pub fn eligible_secs(&self, bid: f64, t0: f64, t1: f64) -> f64 {
-        let mut total = 0.0;
-        for (k, &p) in self.prices.iter().enumerate() {
-            let s = k as f64 * self.step_secs;
-            let e = s + self.step_secs;
-            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
-            if overlap > 0.0 && p <= bid {
-                total += overlap;
-            }
-        }
-        total
-    }
-
-    /// Time-weighted mean of the eligible prices in `[t0, t1]` — the
-    /// expected dollars per hour a bid-capped spot instance pays. Falls
-    /// back to the bid itself when no step is eligible.
-    pub fn mean_eligible_price(&self, bid: f64, t0: f64, t1: f64) -> f64 {
+    /// Everything a bid at `bid` sees of `[t0, t1]`, in one scan of the
+    /// path: the seconds it works, the rate it pays, and the instants the
+    /// market reclaims it.
+    pub fn window(&self, bid: f64, t0: f64, t1: f64) -> BidWindow {
         let (mut weighted, mut secs) = (0.0, 0.0);
-        for (k, &p) in self.prices.iter().enumerate() {
-            let s = k as f64 * self.step_secs;
-            let e = s + self.step_secs;
-            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
-            if overlap > 0.0 && p <= bid {
-                weighted += p * overlap;
-                secs += overlap;
-            }
-        }
-        if secs > 0.0 {
-            weighted / secs
-        } else {
-            bid
-        }
-    }
-
-    /// Step-start times in `[t0, t1]` where the price crosses **above**
-    /// `bid` — the instants the market reclaims every spot instance of
-    /// this family bid at that level (the correlated whole-family event).
-    pub fn reclaim_times(&self, bid: f64, t0: f64, t1: f64) -> Vec<f64> {
-        let mut out = Vec::new();
+        let mut reclaims = Vec::new();
         let mut prev_ok = true; // paths start at the mean; a bid below the mean crosses at step 0
         for (k, &p) in self.prices.iter().enumerate() {
             let s = k as f64 * self.step_secs;
+            let e = s + self.step_secs;
+            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
             let ok = p <= bid;
+            if overlap > 0.0 && ok {
+                weighted += p * overlap;
+                secs += overlap;
+            }
             if prev_ok && !ok && s >= t0 && s <= t1 {
-                out.push(s);
+                reclaims.push(s);
             }
             prev_ok = ok;
         }
-        out
+        BidWindow {
+            eligible_secs: secs,
+            mean_price: if secs > 0.0 { weighted / secs } else { bid },
+            reclaims,
+        }
     }
 
     /// Scripted [`FaultEvent`]s reclaiming the given instance ordinals at
@@ -172,7 +151,7 @@ impl SpotPath {
     /// the earliest death per ordinal, so multiple crossings are safe.)
     pub fn reclaim_events(&self, bid: f64, t0: f64, t1: f64, ordinals: &[u64]) -> Vec<FaultEvent> {
         let mut events = Vec::new();
-        for at in self.reclaim_times(bid, t0, t1) {
+        for at in self.window(bid, t0, t1).reclaims {
             for &ord in ordinals {
                 events.push(FaultEvent {
                     at,
@@ -184,11 +163,6 @@ impl SpotPath {
         }
         events
     }
-}
-
-/// Assemble a [`FaultPlan`] from reclaim events across families.
-pub fn reclaim_plan(events: Vec<FaultEvent>) -> FaultPlan {
-    FaultPlan::scripted(events)
 }
 
 #[cfg(test)]
@@ -225,7 +199,7 @@ mod tests {
         for &x in p.prices() {
             assert!(x >= 0.15 * mean && x <= 10.0 * mean);
         }
-        let avg: f64 = p.prices().iter().sum::<f64>() / p.len() as f64;
+        let avg: f64 = p.prices().iter().sum::<f64>() / p.prices().len() as f64;
         assert!(
             (avg - mean).abs() < mean,
             "long-run average {avg} strayed from mean {mean}"
@@ -235,9 +209,9 @@ mod tests {
     #[test]
     fn eligible_secs_is_monotone_in_bid() {
         let p = path(5);
-        let lo = p.eligible_secs(0.02, 0.0, p.horizon_secs());
-        let mid = p.eligible_secs(0.04, 0.0, p.horizon_secs());
-        let hi = p.eligible_secs(1.0, 0.0, p.horizon_secs());
+        let lo = p.window(0.02, 0.0, p.horizon_secs()).eligible_secs;
+        let mid = p.window(0.04, 0.0, p.horizon_secs()).eligible_secs;
+        let hi = p.window(1.0, 0.0, p.horizon_secs()).eligible_secs;
         assert!(lo <= mid && mid <= hi);
         assert!(
             (hi - p.horizon_secs()).abs() < 1e-9,
@@ -251,7 +225,7 @@ mod tests {
         // a day of any seed's market.
         let p = path(11);
         let bid = 0.9 * p.mean_rate;
-        let times = p.reclaim_times(bid, 0.0, p.horizon_secs());
+        let times = p.window(bid, 0.0, p.horizon_secs()).reclaims;
         assert!(!times.is_empty());
         for w in times.windows(2) {
             assert!(w[0] < w[1]);

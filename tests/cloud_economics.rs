@@ -1,8 +1,9 @@
 //! Integration tests of the cloud-economics layer: billing against the
-//! paper's pricing scheme, the switching analysis, the spot market, and
+//! paper's pricing scheme, the switching analysis, spot-market quotes, and
 //! dynamic rescheduling — all through public APIs only.
 
-use ec2sim::{Cloud, CloudConfig, InstanceType, SpotMarket, SpotRequest};
+use ec2sim::{Cloud, CloudConfig, InstanceFamily, InstanceType};
+use market::{plan_market, MarketConfig, MarketStrategy};
 use provision::{
     cost_for_deadline, execute_plan, make_plan, switch_analysis, ExecutionConfig, PricingModel,
     Strategy,
@@ -44,23 +45,32 @@ fn switching_reproduces_section_3_1() {
     assert!(a.expected_gain > 0.0);
 }
 
+/// A spot bid at the market mean races a shorter bid-eligible window
+/// than the on-demand fleet, so it needs at least as many instances — and
+/// still pays less for the same files and deadline.
 #[test]
 fn spot_market_cheaper_but_slower_for_marginal_bids() {
-    let market = SpotMarket::generate(42, 600, 0.04, 0.004, 300.0);
-    let work = SpotRequest {
-        bid: 0.05,
-        work_secs: 10.0 * 3600.0,
-        resume_penalty_secs: 60.0,
+    let xs: Vec<f64> = (1..=10).map(|i| i as f64 * 1.0e8).collect();
+    let ys: Vec<f64> = xs.iter().map(|&x| 1.0 + x / 75.0e6).collect();
+    let fit = perfmodel::fit(perfmodel::ModelKind::Affine, &xs, &ys);
+    let files: Vec<corpus::FileSpec> = (0..360)
+        .map(|i| corpus::FileSpec::new(i, 1_000_000_000))
+        .collect();
+    let quote = |strategy| {
+        let cfg = MarketConfig {
+            catalog: vec![InstanceFamily::standard()],
+            strategy,
+            bid_factor: 1.0,
+            seed: 42,
+            ..MarketConfig::default()
+        };
+        plan_market(&files, &fit, 4.0 * 3600.0, &cfg).unwrap()
     };
-    let outcome = market.execute(&work);
-    if let Some(t) = outcome.completed_at {
-        assert!(t >= work.work_secs);
-        // Cheaper than on-demand for the same compute.
-        let on_demand = 10.0 * 0.085;
-        assert!(outcome.cost < on_demand, "{} !< {on_demand}", outcome.cost);
-    } else {
-        assert!(outcome.work_done < work.work_secs);
-    }
+    let spot = quote(MarketStrategy::SpotOnly);
+    let on_demand = quote(MarketStrategy::OnDemandOnly);
+    assert!(spot.instance_count() >= on_demand.instance_count());
+    let (spot_cost, od_cost) = (spot.expected_cost, on_demand.expected_cost);
+    assert!(spot_cost < od_cost, "{spot_cost} !< {od_cost}");
 }
 
 #[test]

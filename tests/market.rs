@@ -12,17 +12,20 @@
 //!    deadline miss rate over a seed sweep stays within the configured
 //!    target, and the sweep actually suffers preemptions (the guarantee
 //!    is not vacuous).
+//! 4. **Flat started-hour billing** — every spot line, run under its own
+//!    reclaims, bills whole started hours at a rate no higher than its bid.
 //!
 //! The sweep honours `CHAOS_SEED` so CI can walk a seed matrix without
 //! recompiling, mirroring `tests/chaos.rs`.
 
 use corpus::FileSpec;
 use ec2sim::{
-    AvailabilityZone, Cloud, CloudConfig, DataLocation, InstanceFamily, InstanceType, NoiseModel,
+    billed_hours, AvailabilityZone, Cloud, CloudConfig, DataLocation, InstanceFamily, InstanceType,
+    NoiseModel,
 };
 use market::{
     execute_portfolio, plan_market, plan_market_observed, reclaim_fault_plan, MarketConfig,
-    MarketStrategy,
+    MarketStrategy, Tier,
 };
 use obs::Obs;
 use perfmodel::{fit, Fit, ModelKind};
@@ -173,6 +176,63 @@ fn single_family_on_demand_matches_classic_planner() {
         let rate = InstanceFamily::standard().on_demand_rate;
         assert!((pplan.lines[0].hourly_rate - rate).abs() < 1e-15);
     }
+}
+
+/// The flat started-hour rule on the spot tier. Under its own scripted
+/// reclaims, across seeds and bid levels, every spot line pays at most its
+/// bid per hour, its bill is exactly billed hours × its rate, and every
+/// instance that ran (finished or reclaimed) bills at least one hour.
+#[test]
+fn spot_lines_bill_started_hours_at_or_below_the_bid() {
+    let f = probe_fit();
+    let files = corpus_files(24, 10_000_000_000);
+    let deadline = 4.0 * 3_600.0;
+    let mut preemptions = 0;
+    for seed in 0..4u64 {
+        for bid_factor in [0.9, 1.0, 1.3, 1.6] {
+            let cfg = MarketConfig {
+                catalog: vec![InstanceFamily::standard()],
+                strategy: MarketStrategy::SpotOnly,
+                bid_factor,
+                seed,
+                ..MarketConfig::default()
+            };
+            let Ok(pplan) = plan_market(&files, &f, deadline, &cfg) else {
+                continue;
+            };
+            let faults = reclaim_fault_plan(&pplan, &cfg);
+            let mut cloud = Cloud::with_faults(trial_cloud(seed), &faults);
+            let out = execute_portfolio(
+                &mut cloud,
+                &pplan,
+                &GrepCostModel::default(),
+                &exec_cfg(),
+                &RetryPolicy::default(),
+                &Obs::default(),
+            )
+            .unwrap();
+            preemptions += out.preemptions;
+            let bid = cfg.bid_for(&cfg.catalog[0]);
+            for (line, report) in pplan.lines.iter().zip(&out.reports) {
+                assert_eq!(line.tier, Tier::Spot { bid });
+                let hours = report.execution.instance_hours;
+                assert!(
+                    line.hourly_rate <= bid,
+                    "rate {} > bid {bid}",
+                    line.hourly_rate
+                );
+                assert_eq!(report.execution.cost, hours as f64 * line.hourly_rate);
+                assert!(report.execution.cost <= bid * hours as f64);
+                assert!(hours >= report.execution.runs.len() as u64);
+            }
+            for bill in cloud.ledger().bills() {
+                assert_eq!(bill.billed_hours, billed_hours(bill.running_seconds));
+                assert!(bill.running_seconds <= 0.0 || bill.billed_hours >= 1);
+                assert!(bill.cost <= bid * bill.billed_hours as f64, "{bill:?}");
+            }
+        }
+    }
+    assert!(preemptions > 0, "no spot line was reclaimed");
 }
 
 /// Correlated whole-family spot reclaims, scripted from the plan's own
