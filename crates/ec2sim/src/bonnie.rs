@@ -8,6 +8,7 @@
 
 use crate::cloud::Cloud;
 use crate::error::CloudError;
+use crate::family::InstanceFamily;
 use crate::instance::InstanceId;
 use crate::types::{AvailabilityZone, InstanceType};
 use serde::{Deserialize, Serialize};
@@ -47,32 +48,26 @@ impl Default for ScreeningPolicy {
     }
 }
 
-/// Run a bonnie++-style measurement: a ~1 GB block read/write against the
-/// local store, observed through the usual noise model. Advances the clock.
-pub fn run_bonnie(cloud: &mut Cloud, inst: InstanceId) -> Result<BonnieReport, CloudError> {
-    const PROBE_BYTES: f64 = 1.0e9;
-    let q = cloud.quality(inst)?;
-    // Noise-observe the read and write phases separately via tiny app runs.
-    let noise = cloud.config().noise;
-    let jitter = q.jitter_rel;
-    // Use cloud's deterministic RNG by advancing through run_app-like
-    // observation: reconstruct with a local seed derived from time+id.
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(
-        (cloud.now().to_bits()) ^ inst.0.wrapping_mul(0xA24B_AED4_963E_E407),
-    );
-    let read_secs = noise.observe(&mut rng, PROBE_BYTES / q.io_bps, jitter);
-    let write_secs = noise.observe(&mut rng, PROBE_BYTES / (q.io_bps * 0.9), jitter);
-    cloud.advance(read_secs + write_secs);
-    Ok(BonnieReport {
-        block_read_mbps: PROBE_BYTES / read_secs / 1.0e6,
-        block_write_mbps: PROBE_BYTES / write_secs / 1.0e6,
-        duration_s: read_secs + write_secs,
-    })
+impl ScreeningPolicy {
+    /// This policy judged against `family`'s nominal bandwidth: the family
+    /// transform divides instance I/O by `perf_multiplier`, so the bar
+    /// divides with it. A low-power instance that reads at half the
+    /// standard rate is slow by design, not a bad instance. `None` and the
+    /// standard family (multiplier exactly 1.0) leave the bar bit for bit.
+    pub fn for_family(&self, family: Option<&InstanceFamily>) -> ScreeningPolicy {
+        ScreeningPolicy {
+            min_mbps: self.min_mbps / family.map_or(1.0, |f| f.perf_multiplier),
+            ..*self
+        }
+    }
 }
 
-/// bonnie on the **instance's own timeline** (for fleet screening during
-/// parallel execution): measures at time `at` without touching the global
-/// clock; returns the report and the time the measurement finishes.
+/// One bonnie++-style measurement on the **instance's own timeline**: a
+/// ~1 GB block read then write against the local store starting at `at`,
+/// observed through the usual noise model. The global clock is untouched;
+/// returns the report and the time the measurement finishes, which is
+/// `at + duration_s` (the sum is taken first, so a caller that advances a
+/// clock by `duration_s` lands on the same bits).
 pub fn run_bonnie_at(
     cloud: &mut Cloud,
     inst: InstanceId,
@@ -86,13 +81,14 @@ pub fn run_bonnie_at(
     );
     let read_secs = noise.observe(&mut rng, PROBE_BYTES / q.io_bps, q.jitter_rel);
     let write_secs = noise.observe(&mut rng, PROBE_BYTES / (q.io_bps * 0.9), q.jitter_rel);
+    let duration_s = read_secs + write_secs;
     Ok((
         BonnieReport {
             block_read_mbps: PROBE_BYTES / read_secs / 1.0e6,
             block_write_mbps: PROBE_BYTES / write_secs / 1.0e6,
-            duration_s: read_secs + write_secs,
+            duration_s,
         },
-        at + read_secs + write_secs,
+        at + duration_s,
     ))
 }
 
@@ -114,9 +110,10 @@ pub fn run_disk_probe_at(
     Ok((probe_bytes / secs / 1.0e6, at + secs))
 }
 
-/// Screen an instance for fleet duty on its own timeline: `repeats` bonnie
-/// measurements starting when the instance boots. Returns
-/// `(passed, ready_time)`.
+/// The screening verdict, on the instance's own timeline: `repeats` bonnie
+/// measurements starting when the instance boots; it passes when the
+/// slowest read beats `min_mbps` and the reads' CV is at most `max_cv`.
+/// Returns `(passed, ready_time)`.
 pub fn screen_at(
     cloud: &mut Cloud,
     inst: InstanceId,
@@ -140,37 +137,52 @@ pub fn screen_at(
     Ok((min > policy.min_mbps && cv <= policy.max_cv, t))
 }
 
-/// Acquire an instance that passes `policy`: launch, measure `repeats`
-/// times, keep if fast and stable, otherwise terminate and retry. Returns
-/// the accepted instance and how many candidates were burned.
+/// The one launch-and-screen loop. Launch a candidate with `launch`,
+/// screen it on its own timeline, and keep it if it passes; otherwise
+/// terminate it when its screen ends and launch the next, up to
+/// `policy.max_attempts` candidates. `launch` receives the end time of the
+/// previous reject (0.0 before the first), so a caller that runs on the
+/// global clock can move there before launching.
+///
+/// Returns the accepted instance, the time it is ready for work (never
+/// before the previous reject ended) and the number of candidates used.
+pub fn acquire_screened(
+    cloud: &mut Cloud,
+    policy: &ScreeningPolicy,
+    mut launch: impl FnMut(&mut Cloud, f64) -> Result<InstanceId, CloudError>,
+) -> Result<(InstanceId, f64, usize), CloudError> {
+    let mut rejected_at = 0.0f64;
+    for attempt in 1..=policy.max_attempts {
+        let inst = launch(cloud, rejected_at)?;
+        let (passed, ready) = screen_at(cloud, inst, policy)?;
+        let ready = ready.max(rejected_at);
+        if passed {
+            return Ok((inst, ready, attempt));
+        }
+        cloud.terminate_at(inst, ready)?;
+        rejected_at = ready;
+    }
+    Err(CloudError::ScreeningExhausted {
+        attempts: policy.max_attempts,
+    })
+}
+
+/// [`acquire_screened`] on the global clock: each candidate launches when
+/// the previous reject's screen ended, and the clock ends where the
+/// accepted instance's screen ended. Returns the accepted instance and how
+/// many candidates were burned.
 pub fn acquire_good_instance(
     cloud: &mut Cloud,
     itype: InstanceType,
     zone: AvailabilityZone,
     policy: &ScreeningPolicy,
 ) -> Result<(InstanceId, usize), CloudError> {
-    for attempt in 1..=policy.max_attempts {
-        let id = cloud.launch(itype, zone)?;
-        cloud.wait_until_running(id)?;
-        let reports: Vec<BonnieReport> = (0..policy.repeats)
-            .map(|_| run_bonnie(cloud, id))
-            .collect::<Result<_, _>>()?;
-        let reads: Vec<f64> = reports.iter().map(|r| r.block_read_mbps).collect();
-        let mean = reads.iter().sum::<f64>() / reads.len() as f64;
-        let cv = if reads.len() > 1 {
-            let var =
-                reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
-            var.sqrt() / mean
-        } else {
-            0.0
-        };
-        let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
-        if min > policy.min_mbps && cv <= policy.max_cv {
-            return Ok((id, attempt));
-        }
-        cloud.terminate(id)?;
-    }
-    Err(CloudError::InstanceCapReached(policy.max_attempts))
+    let (id, ready, attempts) = acquire_screened(cloud, policy, |cloud, rejected_at| {
+        cloud.advance_to(rejected_at);
+        cloud.launch(itype, zone)
+    })?;
+    cloud.advance_to(ready);
+    Ok((id, attempts))
 }
 
 #[cfg(test)]
@@ -186,15 +198,27 @@ mod tests {
     fn bonnie_reflects_instance_quality() {
         let mut cloud = Cloud::new(CloudConfig::ideal(1));
         let id = cloud.launch(InstanceType::Small, zone()).unwrap();
-        cloud.wait_until_running(id).unwrap();
         let q = cloud.quality(id).unwrap();
-        let r = run_bonnie(&mut cloud, id).unwrap();
+        let at = cloud.running_at(id).unwrap();
+        let (r, end) = run_bonnie_at(&mut cloud, id, at).unwrap();
+        assert_eq!(end, at + r.duration_s);
         let expected = q.io_bps / 1.0e6;
         assert!(
             (r.block_read_mbps - expected).abs() / expected < 0.05,
             "measured {} expected {expected}",
             r.block_read_mbps
         );
+    }
+
+    #[test]
+    fn family_bar_scales_with_the_perf_multiplier() {
+        let policy = ScreeningPolicy::default();
+        assert_eq!(policy.for_family(None), policy);
+        assert_eq!(policy.for_family(Some(&InstanceFamily::standard())), policy);
+        let low = InstanceFamily::low_power();
+        let bar = policy.for_family(Some(&low));
+        assert_eq!(bar.min_mbps, 60.0 / low.perf_multiplier);
+        assert_eq!((bar.max_cv, bar.repeats, bar.max_attempts), (0.08, 2, 16));
     }
 
     #[test]
@@ -227,7 +251,10 @@ mod tests {
             ..Default::default()
         };
         let err = acquire_good_instance(&mut cloud, InstanceType::Small, zone(), &policy);
-        assert!(err.is_err());
+        assert!(
+            matches!(err, Err(CloudError::ScreeningExhausted { attempts: 3 })),
+            "{err:?}"
+        );
     }
 
     #[test]

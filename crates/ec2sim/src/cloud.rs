@@ -312,6 +312,14 @@ impl Cloud {
         self.now += dt;
     }
 
+    /// Move the clock forward to exactly `t` (unlike `advance(t - now)`,
+    /// which can round); a `t` that is not ahead of now leaves it be.
+    pub fn advance_to(&mut self, t: f64) {
+        if self.now < t {
+            self.now = t;
+        }
+    }
+
     fn instance(&self, id: InstanceId) -> Result<&Instance, CloudError> {
         self.instances
             .get(id.0 as usize)
@@ -416,9 +424,7 @@ impl Cloud {
             return Err(CloudError::Terminated(id));
         }
         let at = inst.running_at;
-        if self.now < at {
-            self.now = at;
-        }
+        self.advance_to(at);
         Ok(())
     }
 

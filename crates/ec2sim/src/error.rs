@@ -43,6 +43,12 @@ pub enum CloudError {
     /// instances per account; the paper notes "limitations on the number
     /// of instances that can be requested", §5.2).
     InstanceCapReached(usize),
+    /// Every candidate instance failed the bonnie screen (§4); `attempts`
+    /// were launched, screened and terminated.
+    ScreeningExhausted {
+        /// Candidates burned.
+        attempts: usize,
+    },
     /// An injected fault killed the instance (hardware loss). The crash
     /// time is available via `Cloud::crash_time`.
     InstanceCrashed(InstanceId),
@@ -76,6 +82,9 @@ impl std::fmt::Display for CloudError {
             }
             CloudError::InstanceCapReached(n) => {
                 write!(f, "account instance cap of {n} reached")
+            }
+            CloudError::ScreeningExhausted { attempts } => {
+                write!(f, "all {attempts} candidate instances failed screening")
             }
             CloudError::InstanceCrashed(id) => write!(f, "instance {id:?} crashed"),
             CloudError::SpotPreempted(id) => write!(f, "instance {id:?} was preempted"),

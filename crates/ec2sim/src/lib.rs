@@ -50,8 +50,8 @@ mod types;
 
 pub use billing::{billed_hours, paid_through, BillingLedger, InstanceBill};
 pub use bonnie::{
-    acquire_good_instance, run_bonnie, run_bonnie_at, run_disk_probe_at, screen_at, BonnieReport,
-    ScreeningPolicy,
+    acquire_good_instance, acquire_screened, run_bonnie_at, run_disk_probe_at, screen_at,
+    BonnieReport, ScreeningPolicy,
 };
 pub use cloud::{Cloud, CloudConfig, DataLocation, RunReport};
 pub use error::CloudError;

@@ -188,11 +188,7 @@ pub struct TransferEngine {
 impl TransferEngine {
     /// A fresh engine for `backend` with its default parameters.
     pub fn new(backend: SharingBackend, seed: u64) -> Self {
-        Self::with_params(backend, BackendParams::for_backend(backend), seed)
-    }
-
-    /// A fresh engine with explicit parameters.
-    pub fn with_params(backend: SharingBackend, params: BackendParams, seed: u64) -> Self {
+        let params = BackendParams::for_backend(backend);
         TransferEngine {
             backend,
             params,
@@ -281,7 +277,7 @@ impl TransferEngine {
     /// Fixed dollars for the backend's standing resources: the SharedFs
     /// server is billed flat-rate instance hours over the busy window
     /// (robust hour rounding — see [`crate::robust_ceil`]).
-    pub fn fixed_cost(&self) -> f64 {
+    fn fixed_cost(&self) -> f64 {
         // A zero hourly rate (S3, EBS hand-off) multiplies out to zero —
         // no guard needed.
         match self.window_start {

@@ -6,7 +6,9 @@
 use crate::plan::{InstancePlan, Plan};
 use crate::pricing::{instance_hours, PricingModel};
 use corpus::FileSpec;
-use ec2sim::{screen_at, Cloud, CloudError, DataLocation, InstanceId, RunReport, ScreeningPolicy};
+use ec2sim::{
+    acquire_screened, Cloud, CloudError, DataLocation, InstanceId, RunReport, ScreeningPolicy,
+};
 use obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,8 +216,9 @@ pub(crate) fn launch(cloud: &mut Cloud, cfg: &ExecutionConfig) -> Result<Instanc
 }
 
 /// Launch one fleet instance, optionally screening it with bonnie first
-/// (up to 16 candidates; rejects are terminated while still free). This is
-/// the cold path used by [`FreshFleet`] and by warm pools on a pool miss.
+/// against its family's bar ([`acquire_screened`]; each reject is
+/// terminated when its screen ends). This is the cold path used by
+/// [`FreshFleet`] and by warm pools on a pool miss.
 pub fn acquire_instance(
     cloud: &mut Cloud,
     cfg: &ExecutionConfig,
@@ -225,23 +228,9 @@ pub fn acquire_instance(
         let ready = cloud.running_at(inst)?;
         return Ok((inst, ready));
     }
-    let policy = ScreeningPolicy::default();
-    let mut not_before = 0.0f64;
-    let mut last = None;
-    for _ in 0..policy.max_attempts {
-        let inst = launch(cloud, cfg)?;
-        let (passed, ready) = screen_at(cloud, inst, &policy)?;
-        let ready = ready.max(not_before);
-        if passed {
-            return Ok((inst, ready));
-        }
-        cloud.terminate_at(inst, ready)?;
-        // The replacement boots while we finish rejecting this one.
-        not_before = ready;
-        last = Some(inst);
-    }
-    // lint:allow(RL001, the screening loop above always runs at least one attempt before falling through)
-    Err(CloudError::NotRunning(last.expect("at least one attempt")))
+    let policy = ScreeningPolicy::default().for_family(cfg.family.as_ref());
+    let (inst, ready, _) = acquire_screened(cloud, &policy, |cloud, _| launch(cloud, cfg))?;
+    Ok((inst, ready))
 }
 
 /// Run every instance of the plan concurrently (per-instance timelines)
@@ -311,7 +300,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before retry number `attempt` (1-based): bounded
     /// exponential with uniform jitter, in simulated seconds.
-    pub fn backoff_secs(&self, attempt: u32, rng: &mut StdRng) -> f64 {
+    fn backoff_secs(&self, attempt: u32, rng: &mut StdRng) -> f64 {
         let exp = attempt.saturating_sub(1).min(24);
         let capped = (self.base_backoff_secs * self.backoff_factor.powi(exp as i32))
             .min(self.max_backoff_secs);
@@ -370,26 +359,6 @@ impl DegradedReport {
         }
         self.execution.misses as f64 / self.total_shares() as f64
     }
-}
-
-/// Acquisition wrapper for faulty clouds: an instance lost while booting
-/// or during its bonnie screen is simply replaced (bounded, so a plan
-/// that crashes every ordinal still terminates).
-fn acquire_resilient(
-    source: &mut dyn FleetSource,
-    cloud: &mut Cloud,
-    cfg: &ExecutionConfig,
-) -> Result<(InstanceId, f64), CloudError> {
-    let mut outcome = source.acquire(cloud, cfg);
-    for _ in 0..16 {
-        match outcome {
-            Ok(ok) => return Ok(ok),
-            Err(ref e) if e.is_instance_loss() => {}
-            Err(e) => return Err(e),
-        }
-        outcome = source.acquire(cloud, cfg);
-    }
-    outcome
 }
 
 /// The log names a share runner writes under: the per-share span, if the
@@ -487,7 +456,7 @@ impl ShareRunner<'_> {
         *used += 1;
         self.stats.replacements += 1;
         self.obs.count(self.log.replacements, 1);
-        let (inst, ready) = acquire_resilient(self.source, cloud, cfg)?;
+        let (inst, ready) = self.source.acquire(cloud, cfg)?;
         Ok(Some((inst, ready.max(t_dead))))
     }
 
@@ -504,7 +473,7 @@ impl ShareRunner<'_> {
         model: &dyn AppCostModel,
         share: &InstancePlan,
     ) -> Result<ShareOutcome, CloudError> {
-        let (mut inst, mut ready) = acquire_resilient(self.source, cloud, cfg)?;
+        let (mut inst, mut ready) = self.source.acquire(cloud, cfg)?;
         let first_ready = ready;
         let span = self.log.span.map(|s| self.obs.span_start(s, ready));
         let vol = match cfg.staging {
@@ -767,6 +736,26 @@ mod tests {
 
     fn corpus_files(n: u64, size: u64) -> Vec<FileSpec> {
         (0..n).map(|i| FileSpec::new(i, size)).collect()
+    }
+
+    #[test]
+    fn screening_exhaustion_is_typed() {
+        // An all-slow fleet fails every bonnie screen.
+        let mut cloud = Cloud::new(CloudConfig {
+            seed: 4,
+            slow_fraction: 1.0,
+            inconsistent_fraction: 0.0,
+            ..CloudConfig::default()
+        });
+        let cfg = ExecutionConfig {
+            screen: true,
+            ..ExecutionConfig::default()
+        };
+        let err = acquire_instance(&mut cloud, &cfg);
+        assert!(
+            matches!(err, Err(CloudError::ScreeningExhausted { attempts: 16 })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub struct QualityAwareConfig {
     /// Refuse to send work to instances measured below this speed
     /// (terminate and replace instead), MB/s.
     pub min_usable_mbps: f64,
-    /// Candidate cap per share, to bound churn on hostile fleets.
+    /// Candidate cap per run, to bound churn on hostile fleets. Work left
+    /// over when the cap is spent counts as one unfinished share.
     pub max_candidates: usize,
     /// Bytes read by the lightweight disk probe (small: the probe must
     /// not eat the deadline it protects).
@@ -85,7 +86,7 @@ pub fn execute_quality_aware(
 
     while !remaining.is_empty() {
         if candidates >= qcfg.max_candidates {
-            break; // hostile fleet; report what was scheduled
+            break; // hostile fleet; the remainder is reported unfinished
         }
         candidates += 1;
         let inst = launch(cloud, cfg)?;
@@ -155,8 +156,9 @@ pub fn execute_quality_aware(
     }
 
     let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
+    let unfinished = usize::from(!remaining.is_empty());
     Ok(QualityAwareReport {
-        execution: ExecutionReport::summarize(runs, deadline_secs, 0, hours, cfg),
+        execution: ExecutionReport::summarize(runs, deadline_secs, unfinished, hours, cfg),
         measured_mbps,
         rejected,
     })
@@ -232,6 +234,37 @@ mod tests {
         )
         .unwrap();
         assert!(report.rejected > 0);
+    }
+
+    #[test]
+    fn unprocessed_remainder_misses_the_deadline() {
+        // Every instance is below the usable bar, so the candidate cap runs
+        // out with all of the work left over.
+        let mut cloud = Cloud::new(CloudConfig {
+            slow_fraction: 1.0,
+            ..hostile(2)
+        });
+        let files = corpus_files(10, 100_000_000);
+        let report = execute_quality_aware(
+            &mut cloud,
+            &files,
+            &grep_fit(),
+            60.0,
+            &GrepCostModel::default(),
+            &ExecutionConfig::default(),
+            &QualityAwareConfig {
+                min_usable_mbps: 70.0,
+                ..QualityAwareConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(report.execution.runs.is_empty());
+        assert_eq!(
+            report.rejected,
+            QualityAwareConfig::default().max_candidates
+        );
+        assert_eq!(report.execution.misses, 1);
+        assert!(!report.execution.met_deadline());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! job runs when, on which family, with how many deferrals, shows up as a
 //! different log or report digest.
 //!
-//! Eight cases: catalog off/on × fault-free/faulty × two seeds. Each is a
-//! 160-job open-loop trace (mean gap 120 s) that backs the queue up, so
-//! jobs are deferred both on tenant quota and on pool capacity.
+//! Eight cases: catalog off/on × fault-free/faulty × two seeds, plus two
+//! catalog-on, fault-free cases with fleet screening on (each instance is
+//! judged against its own family's bonnie bar). Each is a 160-job
+//! open-loop trace (mean gap 120 s) that backs the queue up, so jobs are
+//! deferred both on tenant quota and on pool capacity.
 //!
 //! Regenerate (only when a dispatch change is intended) with
 //! `UPDATE_GOLDEN=1 cargo test -p sched --test dispatch_golden`.
@@ -66,7 +68,7 @@ struct Golden {
     total_cost: f64,
 }
 
-fn run_case(seed: u64, catalog: bool, faults: bool) -> Golden {
+fn run_case(seed: u64, catalog: bool, faults: bool, screen: bool) -> Golden {
     let mut cfg = SchedConfig {
         catalog: catalog.then(InstanceFamily::catalog),
         faults: faults.then(fault_schedule),
@@ -74,6 +76,7 @@ fn run_case(seed: u64, catalog: bool, faults: bool) -> Golden {
         ..SchedConfig::default()
     };
     cfg.cloud.seed = seed;
+    cfg.exec.screen = screen;
     let trace = TraceConfig {
         jobs: JOBS,
         seed,
@@ -93,9 +96,10 @@ fn run_case(seed: u64, catalog: bool, faults: bool) -> Golden {
     };
     Golden {
         case: format!(
-            "seed{seed}-catalog_{}-faults_{}",
+            "seed{seed}-catalog_{}-faults_{}{}",
             if catalog { "on" } else { "off" },
-            if faults { "on" } else { "off" }
+            if faults { "on" } else { "off" },
+            if screen { "-screen_on" } else { "" }
         ),
         seed,
         catalog,
@@ -118,9 +122,12 @@ fn all_cases() -> Vec<Golden> {
     for catalog in [false, true] {
         for faults in [false, true] {
             for seed in SEEDS {
-                cases.push(run_case(seed, catalog, faults));
+                cases.push(run_case(seed, catalog, faults, false));
             }
         }
+    }
+    for seed in SEEDS {
+        cases.push(run_case(seed, true, false, true));
     }
     cases
 }
