@@ -12,10 +12,11 @@
 use bench::{smoke, Table, RESULTS_DIR};
 use corpus::FileSpec;
 use ec2sim::{Cloud, CloudConfig, DataLocation, FaultConfig, FaultPlan, InstanceType, NoiseModel};
+use obs::Obs;
 use perfmodel::{fit, Fit, ModelKind};
 use provision::{
-    execute_plan_resilient, make_plan, DegradedReport, ExecutionConfig, Plan, RetryPolicy,
-    StagingTier, Strategy,
+    execute_plan_resilient_sourced, make_plan, DegradedReport, ExecutionConfig, FreshFleet, Plan,
+    RetryPolicy, StagingTier, Strategy,
 };
 use serde::Serialize;
 use textapps::GrepCostModel;
@@ -91,12 +92,14 @@ fn run_trial(seed: u64, plan: &Plan) -> DegradedReport {
         stage_in_secs: 0.0,
         ..ExecutionConfig::default()
     };
-    execute_plan_resilient(
+    execute_plan_resilient_sourced(
         &mut cloud,
         plan,
         &GrepCostModel::default(),
         &cfg,
         &RetryPolicy::default(),
+        &mut FreshFleet,
+        &Obs::default(),
     )
     .expect("resilient execution")
 }

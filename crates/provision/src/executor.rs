@@ -3,6 +3,7 @@
 //! staged onto EBS storage volumes") or local storage (the POS setup:
 //! "staged onto local storage in a constant time per run").
 
+use crate::dynamic::Monitor;
 use crate::plan::{InstancePlan, Plan};
 use crate::pricing::{instance_hours, PricingModel};
 use corpus::FileSpec;
@@ -372,8 +373,11 @@ pub(crate) struct ShareLog {
     pub(crate) replacements: &'static str,
 }
 
+/// The plan executor's jitter-RNG salt.
+pub(crate) const EXECUTE_SALT: u64 = 0xBACC_0FF5;
+
 /// The plan executor's log names.
-const EXECUTE_LOG: ShareLog = ShareLog {
+pub(crate) const EXECUTE_LOG: ShareLog = ShareLog {
     span: Some("execute.share"),
     transient_retries: "execute.transient_retries",
     crashes: "execute.crashes",
@@ -390,23 +394,48 @@ pub(crate) struct RecoveryStats {
     pub(crate) preemptions: usize,
     pub(crate) transient_retries: usize,
     pub(crate) replacements: usize,
+    /// Laggards a batch monitor swapped out.
+    pub(crate) swaps: usize,
 }
 
 /// The one per-share attempt loop, with what a run threads through its
 /// shares to recover from faults: where instances come from, the retry
-/// policy and its jitter RNG, the running tallies, and where to count.
+/// policy and its jitter RNG, the application, the running tallies, and
+/// where to count.
 pub(crate) struct ShareRunner<'a> {
     pub(crate) source: &'a mut dyn FleetSource,
-    pub(crate) retry: &'a RetryPolicy,
+    retry: &'a RetryPolicy,
     /// Backoff jitter. Each caller seeds its own, and every backoff of the
     /// run draws from it in simulated-time order.
-    pub(crate) rng: StdRng,
+    rng: StdRng,
+    model: &'a dyn AppCostModel,
     pub(crate) stats: RecoveryStats,
-    pub(crate) log: &'a ShareLog,
-    pub(crate) obs: &'a Obs,
+    log: &'a ShareLog,
+    obs: &'a Obs,
 }
 
-impl ShareRunner<'_> {
+impl<'a> ShareRunner<'a> {
+    /// A runner with empty tallies whose jitter RNG is seeded from the
+    /// policy seed xor the caller's `salt`.
+    pub(crate) fn new(
+        source: &'a mut dyn FleetSource,
+        retry: &'a RetryPolicy,
+        salt: u64,
+        model: &'a dyn AppCostModel,
+        log: &'a ShareLog,
+        obs: &'a Obs,
+    ) -> Self {
+        ShareRunner {
+            source,
+            retry,
+            rng: StdRng::seed_from_u64(retry.seed ^ salt),
+            model,
+            stats: RecoveryStats::default(),
+            log,
+            obs,
+        }
+    }
+
     /// The simulated wait before retry `attempt` (1-based) of a transient
     /// error, counted as a retry; `None` once the attempts are spent.
     pub(crate) fn backoff(&mut self, attempt: u32) -> Option<f64> {
@@ -460,103 +489,170 @@ impl ShareRunner<'_> {
         Ok(Some((inst, ready.max(t_dead))))
     }
 
-    /// Run one share to an outcome: acquire an instance, stage the data
-    /// (EBS attach with bounded backoff, or constant-time local
-    /// stage-in), submit the job, and on instance loss bill the doomed
-    /// attempt and requeue the whole share on a replacement. A persistent
-    /// EBS volume survives the loss and re-attaches to the replacement;
-    /// local staging starts over.
+    /// Run a plan share end to end: acquire its first instance from the
+    /// source, run it, and release the instance it ends on. Returns the
+    /// run, timed from the first instance's readiness and judged against
+    /// `deadline_secs` (`None` when the share gave up), the replacements it
+    /// took, and when it finished or gave up.
+    pub(crate) fn run_planned(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+        share: &InstancePlan,
+        deadline_secs: f64,
+        monitor: Option<&Monitor>,
+    ) -> Result<(Option<InstanceRun>, u32, f64), CloudError> {
+        let first = self.source.acquire(cloud, cfg)?;
+        let outcome = self.run(cloud, cfg, &share.files, share.volume, first, monitor)?;
+        if let Some((inst, ready, at)) = outcome.live() {
+            self.stats.hours += self.source.release(cloud, inst, ready, at)?;
+        }
+        let at = outcome.at();
+        let ShareOutcome::Done {
+            report,
+            first_ready,
+            replacements,
+            ..
+        } = outcome
+        else {
+            return Ok((None, 0, at));
+        };
+        let job_secs = report.finished_at - first_ready;
+        let run = InstanceRun {
+            instance: report.instance,
+            volume: share.volume,
+            files: share.files.len(),
+            predicted_secs: share.predicted_secs,
+            job_secs,
+            met_deadline: job_secs <= deadline_secs,
+        };
+        Ok((Some(run), replacements, at))
+    }
+
+    /// Run one share of `volume` bytes in `files` to an outcome, starting
+    /// on the caller's first instance and its ready time: stage the data
+    /// (EBS attach with bounded backoff, or local stage-in) and submit it
+    /// as one batch, or as the `monitor`'s batches at growing EBS offsets.
+    /// A laggard the monitor flags while work is left is released at the
+    /// swap, and the share continues from the next batch on a re-staged
+    /// replacement. On instance loss the doomed attempt is billed and the
+    /// whole share requeued on a replacement. A persistent EBS volume
+    /// survives both; local staging starts over.
     pub(crate) fn run(
         &mut self,
         cloud: &mut Cloud,
         cfg: &ExecutionConfig,
-        model: &dyn AppCostModel,
-        share: &InstancePlan,
+        files: &[FileSpec],
+        volume: u64,
+        (mut inst, mut ready): (InstanceId, f64),
+        monitor: Option<&Monitor>,
     ) -> Result<ShareOutcome, CloudError> {
-        let (mut inst, mut ready) = self.source.acquire(cloud, cfg)?;
         let first_ready = ready;
         let span = self.log.span.map(|s| self.obs.span_start(s, ready));
         let vol = match cfg.staging {
-            StagingTier::Ebs => Some(cloud.create_volume(cfg.zone, share.volume.max(1))),
+            StagingTier::Ebs => Some(cloud.create_volume(cfg.zone, volume.max(1))),
             StagingTier::Local => None,
         };
         let attach = cloud.config().attach_overhead_s;
-        let mut replacements = 0u32;
+        // Batch `i` is `files[ends[i - 1]..ends[i]]`.
+        let ends = monitor.map_or_else(|| vec![files.len()], |m| m.batch_ends(files));
+        let (mut replacements, mut swaps) = (0u32, 0usize);
+        // The next batch to run and the bytes before it.
+        let (mut next, mut done) = (0usize, 0u64);
         let outcome = 'attempts: loop {
             // One attempt on `inst`, working no earlier than `ready`.
             let mut t = ready;
-            let staged = match vol {
-                None => {
+            let mut attempt = 0u32;
+            let staged = loop {
+                let Some(ebs) = vol else {
                     t += cfg.stage_in_secs;
-                    Ok(DataLocation::Local)
-                }
-                Some(volume) => {
-                    let mut attempt = 0u32;
-                    loop {
-                        match cloud.attach_volume_at(volume, inst, t) {
-                            Ok(()) => {
-                                t += attach;
-                                break Ok(DataLocation::Ebs { volume, offset: 0 });
+                    break Ok(());
+                };
+                match cloud.attach_volume_at(ebs, inst, t) {
+                    Ok(()) => {
+                        t += attach;
+                        break Ok(());
+                    }
+                    Err(error) if error.is_transient() => {
+                        attempt += 1;
+                        match self.backoff(attempt) {
+                            Some(wait) => t += wait,
+                            None => {
+                                break 'attempts ShareOutcome::TransientExhausted {
+                                    at: t,
+                                    inst,
+                                    ready,
+                                    error,
+                                };
                             }
-                            Err(error) if error.is_transient() => {
-                                attempt += 1;
-                                match self.backoff(attempt) {
-                                    Some(wait) => t += wait,
-                                    None => {
-                                        break 'attempts ShareOutcome::TransientExhausted {
-                                            at: t,
-                                            inst,
-                                            ready,
-                                            error,
-                                        };
-                                    }
-                                }
-                            }
-                            Err(e) => break Err(e),
                         }
                     }
+                    Err(e) => break Err(e),
                 }
             };
-            let submitted =
-                staged.and_then(|data| cloud.submit_job(inst, model, &share.files, data, t));
-            let lost = match submitted {
-                Ok(report) => {
-                    break ShareOutcome::Done {
-                        report,
-                        inst,
-                        ready,
-                        first_ready,
-                        replacements,
+            let lost = match staged {
+                Err(e) => e,
+                Ok(()) => loop {
+                    let start = if next == 0 { 0 } else { ends[next - 1] };
+                    let data = vol.map_or(DataLocation::Local, |ebs| DataLocation::Ebs {
+                        volume: ebs,
+                        offset: done,
+                    });
+                    let batch = &files[start..ends[next]];
+                    let report = match cloud.submit_job(inst, self.model, batch, data, t) {
+                        Ok(report) => report,
+                        Err(e) => break e,
+                    };
+                    next += 1;
+                    if next == ends.len() {
+                        break 'attempts ShareOutcome::Done {
+                            report,
+                            inst,
+                            ready,
+                            first_ready,
+                            replacements,
+                        };
                     }
-                }
-                Err(e) if e.is_instance_loss() => e,
-                Err(e) => return Err(e),
+                    let lagging = monitor.is_some_and(|m| m.swap(swaps, done, &report));
+                    done += report.bytes;
+                    t = report.finished_at;
+                    if lagging && done < volume {
+                        // Swap the laggard out; the volume re-attaches to
+                        // the replacement without a data transfer.
+                        swaps += 1;
+                        self.stats.swaps += 1;
+                        self.stats.hours += self.source.release(cloud, inst, ready, t)?;
+                        let (fresh, boot) = self.source.acquire(cloud, cfg)?;
+                        (inst, ready) = (fresh, boot.max(t));
+                        continue 'attempts;
+                    }
+                },
             };
+            if !lost.is_instance_loss() {
+                return Err(lost);
+            }
             // The cloud already terminated the instance and detached its
-            // volumes.
+            // volumes; the whole share starts over.
             let t_dead = self.lose(cloud, inst, (ready, t), &lost);
+            (next, done) = (0, 0);
             match self.replace(cloud, cfg, &mut replacements, t_dead)? {
-                Some(next) => (inst, ready) = next,
+                Some(fresh) => (inst, ready) = fresh,
                 None => break ShareOutcome::ReplacementsExhausted { at: t_dead },
             }
         };
         if let Some(span) = span {
-            let at = match &outcome {
-                ShareOutcome::Done { report, .. } => report.finished_at,
-                ShareOutcome::TransientExhausted { at, .. }
-                | ShareOutcome::ReplacementsExhausted { at } => *at,
-            };
-            self.obs.span_end(span, at);
+            self.obs.span_end(span, outcome.at());
         }
         Ok(outcome)
     }
 }
 
 /// How one share ended under [`ShareRunner::run`]. The runner never releases an
-/// instance: the caller decides what happens to a live one.
+/// instance it ends on: the caller decides what happens to a live one.
 pub(crate) enum ShareOutcome {
     /// The share completed on `inst`, which picked it up at `ready`; the
-    /// share's first instance was ready at `first_ready`.
+    /// share's first instance was ready at `first_ready`. `report` is the
+    /// last batch's.
     Done {
         report: RunReport,
         inst: InstanceId,
@@ -576,31 +672,42 @@ pub(crate) enum ShareOutcome {
     ReplacementsExhausted { at: f64 },
 }
 
-/// Execute a plan on a possibly faulty cloud: transient errors back off
-/// and retry in place, lost instances are replaced and their whole bin
-/// requeued on the replacement, and everything is accounted in a
-/// [`DegradedReport`]. On a fault-free cloud the embedded
-/// [`ExecutionReport`] is exactly [`execute_plan`]'s.
-///
-/// Recovery time counts against the deadline: a share's `job_secs` runs
-/// from the moment its *first* instance was ready to the final finish.
-pub fn execute_plan_resilient(
-    cloud: &mut Cloud,
-    plan: &Plan,
-    model: &dyn AppCostModel,
-    cfg: &ExecutionConfig,
-    retry: &RetryPolicy,
-) -> Result<DegradedReport, CloudError> {
-    let obs = Obs::default();
-    execute_plan_resilient_sourced(cloud, plan, model, cfg, retry, &mut FreshFleet, &obs)
+impl ShareOutcome {
+    /// When the share finished or gave up.
+    pub(crate) fn at(&self) -> f64 {
+        match self {
+            ShareOutcome::Done { report, .. } => report.finished_at,
+            ShareOutcome::TransientExhausted { at, .. }
+            | ShareOutcome::ReplacementsExhausted { at } => *at,
+        }
+    }
+
+    /// The instance the share left alive, the time it picked the share up
+    /// and the time the share let go of it.
+    pub(crate) fn live(&self) -> Option<(InstanceId, f64, f64)> {
+        match *self {
+            ShareOutcome::Done { inst, ready, .. }
+            | ShareOutcome::TransientExhausted { inst, ready, .. } => {
+                Some((inst, ready, self.at()))
+            }
+            ShareOutcome::ReplacementsExhausted { .. } => None,
+        }
+    }
 }
 
-/// The one plan executor. [`execute_plan_resilient`] generalized over
-/// where instances come from and where the log goes: every acquisition,
-/// release, and loss goes through the given [`FleetSource`], which also
-/// attributes billed hours. With [`FreshFleet`] each share gets its own
-/// instance; with a warm pool, shares land on instances whose current
-/// billed hour is already paid whenever one is free.
+/// The one plan executor: run every share of the plan on a possibly
+/// faulty cloud. Transient errors back off and retry in place, lost
+/// instances are replaced and their whole bin requeued on the
+/// replacement, and everything is accounted in a [`DegradedReport`]; on a
+/// fault-free cloud its [`ExecutionReport`] is exactly [`execute_plan`]'s.
+/// Recovery time counts against the deadline: a share's `job_secs` runs
+/// from the moment its *first* instance was ready to the final finish.
+///
+/// Every acquisition, release, and loss goes through the given
+/// [`FleetSource`], which also attributes billed hours. With
+/// [`FreshFleet`] each share gets its own instance; with a warm pool,
+/// shares land on instances whose current billed hour is already paid
+/// whenever one is free.
 ///
 /// Besides the `execute_plan_observed` metrics it counts retries, crashes,
 /// preemptions, replacements, requeued bins and recovered/lost bytes as
@@ -615,14 +722,7 @@ pub fn execute_plan_resilient_sourced(
     source: &mut dyn FleetSource,
     obs: &Obs,
 ) -> Result<DegradedReport, CloudError> {
-    let mut runner = ShareRunner {
-        source,
-        retry,
-        rng: StdRng::seed_from_u64(retry.seed ^ 0xBACC_0FF5),
-        stats: RecoveryStats::default(),
-        log: &EXECUTE_LOG,
-        obs,
-    };
+    let mut runner = ShareRunner::new(source, retry, EXECUTE_SALT, model, &EXECUTE_LOG, obs);
     let mut runs = Vec::with_capacity(plan.instance_count());
     let mut share_files: Vec<Vec<FileSpec>> = Vec::with_capacity(plan.instance_count());
     let mut failed_shares = Vec::new();
@@ -635,54 +735,27 @@ pub fn execute_plan_resilient_sourced(
     let phase = obs.span_start("pipeline.execute", phase_start);
 
     for (idx, share) in plan.instances.iter().enumerate() {
-        let gave_up_at = match runner.run(cloud, cfg, model, share)? {
-            ShareOutcome::Done {
-                report,
-                inst,
-                ready,
-                first_ready,
-                replacements,
-            } => {
-                runner.stats.hours +=
-                    runner
-                        .source
-                        .release(cloud, inst, ready, report.finished_at)?;
-                let job_secs = report.finished_at - first_ready;
-                last_finish = last_finish.max(report.finished_at);
-                obs.count("execute.bytes_moved", share.volume);
-                obs.observe("execute.job_secs", job_secs);
-                runs.push(InstanceRun {
-                    instance: report.instance,
-                    volume: share.volume,
-                    files: share.files.len(),
-                    predicted_secs: share.predicted_secs,
-                    job_secs,
-                    met_deadline: job_secs <= plan.deadline_secs,
-                });
-                share_files.push(share.files.clone());
-                if replacements > 0 {
-                    requeued_shares += 1;
-                    recovered_bytes += share.volume;
-                    obs.count("execute.requeued_shares", 1);
-                    obs.count("execute.recovered_bytes", share.volume);
-                }
-                continue;
-            }
-            // The instance is alive but the share is stuck; release it.
-            ShareOutcome::TransientExhausted {
-                at, inst, ready, ..
-            } => {
-                runner.stats.hours += runner.source.release(cloud, inst, ready, at)?;
-                at
-            }
-            ShareOutcome::ReplacementsExhausted { at } => at,
+        let (run, replacements, at) =
+            runner.run_planned(cloud, cfg, share, plan.deadline_secs, None)?;
+        last_finish = last_finish.max(at);
+        let Some(run) = run else {
+            obs.count("execute.failed_shares", 1);
+            obs.count("execute.lost_bytes", share.volume);
+            failed_shares.push(idx);
+            share_files.push(Vec::new());
+            lost_bytes += share.volume;
+            continue;
         };
-        last_finish = last_finish.max(gave_up_at);
-        obs.count("execute.failed_shares", 1);
-        obs.count("execute.lost_bytes", share.volume);
-        failed_shares.push(idx);
-        share_files.push(Vec::new());
-        lost_bytes += share.volume;
+        obs.count("execute.bytes_moved", share.volume);
+        obs.observe("execute.job_secs", run.job_secs);
+        runs.push(run);
+        share_files.push(share.files.clone());
+        if replacements > 0 {
+            requeued_shares += 1;
+            recovered_bytes += share.volume;
+            obs.count("execute.requeued_shares", 1);
+            obs.count("execute.recovered_bytes", share.volume);
+        }
     }
 
     let stats = runner.stats;

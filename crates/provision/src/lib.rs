@@ -34,9 +34,9 @@ pub use budget::{cheapest_plan, plan_within_budget, BudgetPlan};
 pub use dynamic::{execute_dynamic, DynamicConfig, DynamicError, DynamicReport};
 pub use error::ProvisionError;
 pub use executor::{
-    acquire_instance, execute_plan, execute_plan_observed, execute_plan_resilient,
-    execute_plan_resilient_sourced, DegradedReport, ExecutionConfig, ExecutionReport, FleetSource,
-    FreshFleet, InstanceRun, RetryPolicy, StagingTier,
+    acquire_instance, execute_plan, execute_plan_observed, execute_plan_resilient_sourced,
+    DegradedReport, ExecutionConfig, ExecutionReport, FleetSource, FreshFleet, InstanceRun,
+    RetryPolicy, StagingTier,
 };
 pub use montecarlo::{evaluate_plan, PlanDistribution};
 pub use plan::{InstancePlan, Plan};

@@ -42,7 +42,7 @@
 
 use crate::error::ProvisionError;
 use crate::executor::{
-    ExecutionConfig, FreshFleet, RecoveryStats, RetryPolicy, ShareLog, ShareOutcome, ShareRunner,
+    ExecutionConfig, FreshFleet, RetryPolicy, ShareLog, ShareOutcome, ShareRunner,
 };
 use crate::plan::Plan;
 use crate::strategy::{make_plan, Strategy};
@@ -53,8 +53,6 @@ use ec2sim::{
 };
 use obs::Obs;
 use perfmodel::{adjusted_for, try_fit, Fit, ModelKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use textapps::aggregate::{merge_partials, oracle, partial_bytes, partition_partial, render};
 use textapps::{AggKind, Partial, TokenizeCostModel};
@@ -532,14 +530,15 @@ pub fn execute_shuffle_observed(
     let reduce_bins = cfg.reduce_bins.max(1);
     let model = TokenizeCostModel::default();
     let m_count = plan.instance_count();
-    let mut runner = ShareRunner {
-        source: &mut FreshFleet,
-        retry: &cfg.retry,
-        rng: StdRng::seed_from_u64(cfg.retry.seed ^ 0x0EC2_5AFF),
-        stats: RecoveryStats::default(),
-        log: &SHUFFLE_LOG,
+    let mut fleet = FreshFleet;
+    let mut runner = ShareRunner::new(
+        &mut fleet,
+        &cfg.retry,
+        0x0EC2_5AFF,
+        &model,
+        &SHUFFLE_LOG,
         obs,
-    };
+    );
 
     let phase_start = cloud.now();
     let pipeline = obs.span_start("shuffle.pipeline", phase_start);
@@ -559,7 +558,8 @@ pub fn execute_shuffle_observed(
             ..cfg.exec
         };
         // The map instance stays in its slot for the reduce phase.
-        match runner.run(cloud, &share_cfg, &model, share)? {
+        let first = runner.source.acquire(cloud, &share_cfg)?;
+        match runner.run(cloud, &share_cfg, &share.files, share.volume, first, None)? {
             ShareOutcome::Done {
                 report,
                 inst,

@@ -2,8 +2,11 @@
 //! economics, and the billed-hours bound vs isolated provisioning.
 
 use ec2sim::CloudConfig;
+use obs::Obs;
 use proptest::prelude::*;
-use provision::{execute_plan_resilient, ExecutionConfig, FreshFleet, RetryPolicy, StagingTier};
+use provision::{
+    execute_plan_resilient_sourced, ExecutionConfig, FreshFleet, RetryPolicy, StagingTier,
+};
 use sched::{run_trace, Admission, JobStatus, PoolConfig, SchedConfig, TraceConfig};
 
 /// A deterministic cloud (homogeneous, noiseless, jitter-free) so pooled
@@ -250,17 +253,17 @@ fn pooled_leq_isolated(jobs: usize, seed: u64, mean_gap: f64, dl_lo: f64, vol_hi
         let (_, plan) = sched::admit(job, fit, cfg.p_miss, cfg.pool.capacity);
         let plan = plan.expect("accepted jobs re-admit");
         let mut cloud = ec2sim::Cloud::new(cfg.cloud);
-        let report = execute_plan_resilient(
+        let report = execute_plan_resilient_sourced(
             &mut cloud,
             &plan,
             job.cost_model().as_ref(),
             &cfg.exec,
             &RetryPolicy::default(),
+            &mut FreshFleet,
+            &Obs::default(),
         )
         .expect("isolated run");
         isolated_hours += report.execution.instance_hours;
-        // Sanity: FreshFleet is the executor's default source.
-        let _ = FreshFleet;
     }
     assert!(
         pooled.total_billed_hours <= isolated_hours,

@@ -19,11 +19,12 @@
 use binpack::{check_packing_with, Bin, CheckOptions, Item, Packing};
 use corpus::FileSpec;
 use ec2sim::{Cloud, CloudConfig, DataLocation, FaultConfig, FaultPlan, InstanceType, NoiseModel};
+use obs::Obs;
 use perfmodel::{fit, Fit, ModelKind};
 use proptest::prelude::*;
 use provision::{
-    execute_plan_resilient, make_plan, DegradedReport, ExecutionConfig, Plan, RetryPolicy,
-    StagingTier, Strategy,
+    execute_plan_resilient_sourced, make_plan, DegradedReport, ExecutionConfig, FreshFleet, Plan,
+    RetryPolicy, StagingTier, Strategy,
 };
 use textapps::GrepCostModel;
 
@@ -119,12 +120,14 @@ fn run_trial(seed: u64, faults: &FaultConfig, plan: &Plan, staging: StagingTier)
         stage_in_secs: 0.0,
         ..ExecutionConfig::default()
     };
-    execute_plan_resilient(
+    execute_plan_resilient_sourced(
         &mut cloud,
         plan,
         &GrepCostModel::default(),
         &cfg,
         &RetryPolicy::default(),
+        &mut FreshFleet,
+        &Obs::default(),
     )
     .unwrap()
 }
