@@ -30,7 +30,7 @@
 //! `pack_sharded` already documents for shard cuts.
 //!
 //! The packer reads no wall clock: callers pass the simulated time into
-//! [`admit`](StreamPacker::admit)/[`tick`](StreamPacker::tick), so replaying
+//! [`admit`](StreamPacker::admit)/[`finish`](StreamPacker::finish), so replaying
 //! a seeded arrival trace reproduces every seal decision (and therefore
 //! every container byte) exactly.
 //!
@@ -52,7 +52,7 @@ pub struct SealPolicy {
     /// (checked after every admit).
     pub max_pending_bytes: Option<u64>,
     /// Seal once the oldest pending arrival is at least this many simulated
-    /// seconds old (checked on every admit and [`StreamPacker::tick`]).
+    /// seconds old (checked on every admit).
     pub max_age_secs: Option<f64>,
 }
 
@@ -245,16 +245,6 @@ impl StreamPacker {
         &self.config
     }
 
-    /// Items buffered in the open (pending) segment.
-    pub fn pending_items(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Bytes buffered in the open segment.
-    pub fn pending_bytes(&self) -> u64 {
-        self.pending_bytes
-    }
-
     /// Segments sealed so far.
     pub fn sealed_segments(&self) -> &[SealedSegment] {
         &self.segments
@@ -283,13 +273,6 @@ impl StreamPacker {
                 self.seal(SealCause::Full, now_secs);
             }
         }
-    }
-
-    /// Advance the simulated clock without admitting anything; seals the
-    /// pending segment if it has aged out. Call this from timer events in
-    /// an event-driven ingest loop.
-    pub fn tick(&mut self, now_secs: f64) {
-        self.seal_if_aged(now_secs);
     }
 
     /// Seal the pending segment right now (no-op when empty). The
@@ -499,7 +482,7 @@ mod tests {
         // Arrives at t=6: the t=0 segment is 6s old, seals first.
         p.admit(Item::new(2, 10), 6.0);
         assert_eq!(p.stats().seals_aged, 1);
-        assert_eq!(p.pending_items(), 1);
+        assert_eq!(p.pending.len(), 1);
         let out = p.finish(7.0);
         assert_eq!(out.segments.len(), 2);
         assert_eq!(out.segments[0].items, 2);
@@ -507,22 +490,22 @@ mod tests {
     }
 
     #[test]
-    fn tick_seals_without_admitting() {
+    fn aged_seal_without_admitting() {
         let mut cfg = StreamConfig::new(1000);
         cfg.seal = SealPolicy::aged(2.0);
         let mut p = StreamPacker::new(cfg);
         p.admit(Item::new(0, 10), 0.0);
-        p.tick(1.0);
+        p.seal_if_aged(1.0);
         assert_eq!(p.stats().sealed_segments, 0);
-        p.tick(2.0);
+        p.seal_if_aged(2.0);
         assert_eq!(p.stats().seals_aged, 1);
-        assert_eq!(p.pending_items(), 0);
+        assert_eq!(p.pending.len(), 0);
     }
 
     #[test]
-    fn tick_then_admit_at_same_timestamp_seals_once() {
-        // A timer tick and an arrival landing on the same simulated
-        // timestamp must produce exactly one aged seal: the tick seals the
+    fn aged_seal_then_admit_at_same_timestamp_seals_once() {
+        // An age check and an arrival landing on the same simulated
+        // timestamp must produce exactly one aged seal: the check seals the
         // over-age segment, and the admit's own age check then sees an
         // empty pending buffer (which never seals). A second seal here
         // would emit a phantom empty segment into the event log.
@@ -530,15 +513,15 @@ mod tests {
         cfg.seal = SealPolicy::aged(2.0);
         let mut p = StreamPacker::new(cfg);
         p.admit(Item::new(0, 10), 0.0);
-        p.tick(2.0);
+        p.seal_if_aged(2.0);
         assert_eq!(p.stats().seals_aged, 1);
         p.admit(Item::new(1, 20), 2.0);
         assert_eq!(p.stats().seals_aged, 1, "same-timestamp double seal");
-        assert_eq!(p.pending_items(), 1);
+        assert_eq!(p.pending.len(), 1);
         // The new arrival starts a fresh age window at t = 2.
-        p.tick(3.9);
+        p.seal_if_aged(3.9);
         assert_eq!(p.stats().seals_aged, 1);
-        p.tick(4.0);
+        p.seal_if_aged(4.0);
         assert_eq!(p.stats().seals_aged, 2);
         let out = p.finish(5.0);
         assert!(
@@ -556,8 +539,8 @@ mod tests {
             max_age_secs: Some(0.0),
         };
         let mut p = StreamPacker::new(cfg);
-        p.tick(10.0);
-        p.tick(20.0);
+        p.seal_if_aged(10.0);
+        p.seal_if_aged(20.0);
         p.seal_now(30.0);
         assert_eq!(p.stats().sealed_segments, 0);
         let out = p.finish(40.0);

@@ -166,7 +166,7 @@ impl Default for MarketConfig {
 
 impl MarketConfig {
     /// The price-path horizon actually used for a given deadline.
-    pub fn horizon_for(&self, deadline_secs: f64) -> f64 {
+    fn horizon_for(&self, deadline_secs: f64) -> f64 {
         if self.horizon_secs > 0.0 {
             self.horizon_secs
         } else {

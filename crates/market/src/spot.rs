@@ -106,16 +106,6 @@ impl SpotPath {
         self.prices.len() as f64 * self.step_secs
     }
 
-    /// Price at simulated time `t` (clamped to the path ends; the mean
-    /// for an empty path).
-    pub fn price_at(&self, t: f64) -> f64 {
-        if self.prices.is_empty() {
-            return self.mean_rate;
-        }
-        let idx = (t / self.step_secs).floor().max(0.0) as usize;
-        self.prices[idx.min(self.prices.len() - 1)]
-    }
-
     /// Everything a bid at `bid` sees of `[t0, t1]`, in one scan of the
     /// path: the seconds it works, the rate it pays, and the instants the
     /// market reclaims it.
@@ -236,12 +226,5 @@ mod tests {
         assert!(events
             .chunks(3)
             .all(|c| c[0].at == c[1].at && c[1].at == c[2].at));
-    }
-
-    #[test]
-    fn price_at_clamps() {
-        let p = path(9);
-        assert_eq!(p.price_at(-5.0), p.prices()[0]);
-        assert_eq!(p.price_at(1e12), *p.prices().last().unwrap());
     }
 }

@@ -44,7 +44,7 @@ impl ModelKind {
 
     /// Does fitting this family take `ln x`? Feeding it `x ≤ 0` would
     /// produce NaN/−∞ coefficients.
-    pub fn needs_log_x(self) -> bool {
+    fn needs_log_x(self) -> bool {
         matches!(
             self,
             ModelKind::Linear | ModelKind::PowerLaw | ModelKind::LogQuad
@@ -53,7 +53,7 @@ impl ModelKind {
 
     /// Does fitting this family take `ln y`? Feeding it `y ≤ 0` would
     /// produce NaN/−∞ coefficients.
-    pub fn needs_log_y(self) -> bool {
+    fn needs_log_y(self) -> bool {
         !matches!(self, ModelKind::Affine)
     }
 }

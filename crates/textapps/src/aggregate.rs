@@ -48,7 +48,7 @@ impl AggKind {
 pub type Partial = BTreeMap<String, u64>;
 
 /// Tokenize one document and emit its keyed partial.
-pub fn map_document(kind: AggKind, file_id: u64, text: &str) -> Partial {
+fn map_document(kind: AggKind, file_id: u64, text: &str) -> Partial {
     let mut out = Partial::new();
     for sentence in sentences(text) {
         for token in tokenize(sentence) {

@@ -127,7 +127,7 @@ impl Default for PosCostModel {
 
 impl PosCostModel {
     /// The memory-pressure multiplier for a file of `size` bytes (≥ 1).
-    pub fn mem_penalty(&self, size: u64) -> f64 {
+    fn mem_penalty(&self, size: u64) -> f64 {
         let ratio = size as f64 / self.mem_ref_bytes;
         1.0 + self.mem_alpha * ratio.ln().max(0.0)
     }

@@ -112,7 +112,7 @@ impl PosTagger {
     }
 
     /// Tag a single sentence's tokens.
-    pub fn tag_tokens(&self, tokens: &[Token]) -> Vec<TaggedWord> {
+    fn tag_tokens(&self, tokens: &[Token]) -> Vec<TaggedWord> {
         if tokens.is_empty() {
             return Vec::new();
         }
