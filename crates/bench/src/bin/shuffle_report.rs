@@ -34,8 +34,10 @@ const P_MISS: f64 = 0.1;
 struct BackendRow {
     backend: String,
     feasible: bool,
-    predicted_secs: f64,
-    streams_needed: u64,
+    /// `null` when the backend's transfer probes gave no fit.
+    predicted_secs: Option<f64>,
+    /// `null` when the fit cannot be inverted at the adjusted budget.
+    streams_needed: Option<u64>,
     transfer_cost: f64,
 }
 

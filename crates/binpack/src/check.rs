@@ -75,12 +75,13 @@ pub enum CheckViolation {
         /// The packing-level capacity.
         packing_capacity: u64,
     },
-    /// Total bytes across bins differ from the input total.
+    /// Total bytes across bins differ from the input total. Totals are
+    /// `u128` because item sizes span the whole `u64` range.
     BytesNotConserved {
         /// Input total.
-        expected: u64,
+        expected: u128,
         /// Output total.
-        actual: u64,
+        actual: u128,
     },
     /// An empty bin where the algorithm family forbids them.
     EmptyBin {
@@ -282,8 +283,8 @@ pub fn check_packing_with(
 
     // 4: byte conservation (redundant with 1+3, but this is the invariant
     // the paper's accounting depends on, so state it directly).
-    let expected: u64 = items.iter().map(|it| it.size).sum();
-    let actual: u64 = packing.total_size();
+    let expected: u128 = items.iter().map(|it| u128::from(it.size)).sum();
+    let actual: u128 = packing.bins.iter().map(|b| u128::from(b.used)).sum();
     if expected != actual {
         return Err(CheckViolation::BytesNotConserved { expected, actual });
     }

@@ -62,12 +62,14 @@ impl Calibration {
     /// Documented defaults, derived from the measured sweep on the
     /// HTML_18mil size distribution (see `results/CALIBRATION_packing.json`
     /// and DESIGN.md §12): below ~10⁴ items the cache-resident linear scans
-    /// win; the index structures take over in the tens of thousands and win
-    /// by 3–20× from 10⁵ up. The defaults sit at the measured crossovers
-    /// rounded up to powers of two — conservatively high, since near the
-    /// crossover both sides are within a few percent of each other.
+    /// of first and best fit win; those index structures take over in the
+    /// tens of thousands and win by 3–5× at 10⁵. The size-class subset-sum
+    /// kernel already wins 1.9× at the smallest swept size (1,024 items), so
+    /// its threshold is that size. The defaults sit at the measured
+    /// crossovers rounded up to powers of two — conservatively high, since
+    /// near the crossover both sides are within a few percent of each other.
     pub const DEFAULT: Calibration = Calibration {
-        subset_sum_first_fit: 16_384,
+        subset_sum_first_fit: 1_024,
         first_fit: 32_768,
         best_fit: 32_768,
     };
@@ -138,7 +140,7 @@ mod tests {
     #[test]
     fn default_thresholds_documented() {
         let c = Calibration::default();
-        assert_eq!(c.subset_sum_first_fit, 16_384);
+        assert_eq!(c.subset_sum_first_fit, 1_024);
         assert_eq!(c.first_fit, 32_768);
         assert_eq!(c.best_fit, 32_768);
     }

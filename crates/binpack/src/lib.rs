@@ -11,10 +11,10 @@
 //! * the **subset-sum first fit** heuristic the paper uses (§4, §5.2),
 //! * the standard first-fit family (in input order and decreasing),
 //!   best-fit, next-fit and worst-fit for comparison/ablation,
-//! * **O(n log n) kernels** for subset-sum first fit, first fit, best fit
-//!   and `uniform_k_bins` ([`fast`](crate::subset_sum_first_fit), backed by
-//!   a sorted multiset, a segment tree, an ordered set and a min-heap
-//!   respectively) that produce bitwise identical packings to the retained
+//! * **index-structure kernels** for subset-sum first fit, first fit, best
+//!   fit and `uniform_k_bins` ([`fast`](crate::subset_sum_first_fit), backed
+//!   by a sorted size-class arena, a segment tree, an ordered set and a
+//!   min-heap respectively) that produce bitwise identical packings to the retained
 //!   `naive_*` reference implementations — at paper scale (18M files) the
 //!   quadratic references are unusable,
 //! * a [`Parallelism`] knob and parallel sweep paths
@@ -43,6 +43,7 @@ mod kbins;
 mod pack;
 mod parallel;
 mod segtree;
+mod sizeclass;
 mod stats;
 pub mod stream;
 mod subset_sum;

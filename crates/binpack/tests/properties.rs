@@ -24,6 +24,31 @@ fn arb_items() -> impl Strategy<Value = Vec<Item>> {
     prop::collection::vec(0u64..5_000, 0..200).prop_map(|sizes| Item::from_sizes(&sizes))
 }
 
+/// A value log-uniform over `[0, 2^62)`: a uniform bit width in `0..=62`,
+/// then a uniform value of that width.
+fn log_uniform() -> impl Strategy<Value = u64> {
+    prop::collection::vec(any::<u64>(), 2)
+        .prop_map(|w| w[1].checked_shr(64 - (w[0] % 63) as u32).unwrap_or(0))
+}
+
+/// Item sizes against `cap` for the wide-range differential test. Each
+/// `kinds[i]` picks how `raw[i]` becomes a size: zero, exactly `cap`,
+/// oversize, a duplicate from `pool`, a fitting size, or the raw
+/// log-uniform value (fitting or oversize depending on `cap`).
+fn wide_sizes(cap: u64, raw: &[u64], kinds: &[u8], pool: &[u64]) -> Vec<u64> {
+    raw.iter()
+        .zip(kinds)
+        .map(|(&r, &kind)| match kind {
+            0 => 0,
+            1 => cap,
+            2 => cap.saturating_add(1 + r % 1_000),
+            3..=5 => pool[(r % pool.len() as u64) as usize] % (cap + 1),
+            6 | 7 => r % (cap + 1),
+            _ => r,
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn every_algorithm_conserves_items(items in arb_items(), cap in 1u64..2_000) {
@@ -356,5 +381,27 @@ proptest! {
                 prop_assert!(b.is_oversize() && b.len() == 1 || b.used <= cap, "{:?}", alg);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The kernel differential again, over the whole size range: capacities
+    // and sizes log-uniform up to 2^62, so the size-class bucket table and
+    // every radix digit see widths the 0..5000 sizes above never reach.
+    #[test]
+    fn fast_subset_sum_equals_naive_over_wide_sizes(
+        cap in log_uniform(),
+        raw in prop::collection::vec(log_uniform(), 0..300),
+        kinds in prop::collection::vec(0u8..10, 300),
+        pool in prop::collection::vec(log_uniform(), 1..5),
+    ) {
+        let cap = cap.max(1);
+        let items = Item::from_sizes(&wide_sizes(cap, &raw, &kinds, &pool));
+        prop_assert_eq!(
+            subset_sum_first_fit(&items, cap),
+            naive_subset_sum_first_fit(&items, cap)
+        );
     }
 }

@@ -123,20 +123,24 @@ pub struct ShuffleMovement {
     pub dst_zone: AvailabilityZone,
 }
 
-/// How one backend scored during planning.
+/// How one backend scored during planning. The fit-derived fields are
+/// `None` when the backend's transfer probes yield no usable fit; the
+/// stream fields are also `None` when the fit has no inverse of at least
+/// one byte at the adjusted budget — the backend is then infeasible.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BackendEvaluation {
     /// The backend evaluated.
     pub backend: SharingBackend,
     /// Fit-predicted shuffle makespan for the movement set, seconds.
-    pub predicted_secs: f64,
+    pub predicted_secs: Option<f64>,
     /// The backend's adjusted shuffle budget `B/(1+a)`, seconds.
-    pub adjusted_budget_secs: f64,
+    pub adjusted_budget_secs: Option<f64>,
     /// `f⁻¹(B_adj)`: bytes one stream can carry within the adjusted
-    /// budget (0 when the transfer model is not invertible there).
-    pub stream_bytes: f64,
-    /// Streams the movement volume needs at that per-stream capacity.
-    pub streams_needed: u64,
+    /// budget.
+    pub stream_bytes: Option<f64>,
+    /// Streams the movement volume needs at that per-stream capacity
+    /// (zero for an empty movement set, whatever the fit).
+    pub streams_needed: Option<u64>,
     /// Whether the backend finishes the shuffle inside the budget.
     pub feasible: bool,
     /// Dry-run transfer dollars (requests + cross-AZ bytes + server hours).
@@ -370,10 +374,10 @@ pub fn plan_shuffle(
         let eval = match probe_fit(backend, seed, lo, hi) {
             None => BackendEvaluation {
                 backend,
-                predicted_secs: f64::INFINITY,
-                adjusted_budget_secs: 0.0,
-                stream_bytes: 0.0,
-                streams_needed: u64::MAX,
+                predicted_secs: None,
+                adjusted_budget_secs: None,
+                stream_bytes: None,
+                streams_needed: (total_bytes == 0).then_some(0),
                 feasible: false,
                 transfer_cost: dry_run_cost(backend, seed, movements),
             },
@@ -394,22 +398,18 @@ pub fn plan_shuffle(
                 } else {
                     (sum2 / streams as f64).max(max2)
                 };
-                let stream_bytes = fit.invert(b_adj).filter(|x| *x >= 1.0).unwrap_or(0.0);
+                let stream_bytes = fit.invert(b_adj).filter(|x| *x >= 1.0);
                 let streams_needed = if total_bytes == 0 {
-                    0
-                } else if stream_bytes >= 1.0 {
-                    ((2 * total_bytes) as f64 / stream_bytes).ceil() as u64
+                    Some(0)
                 } else {
-                    u64::MAX
+                    stream_bytes.map(|b| ((2 * total_bytes) as f64 / b).ceil() as u64)
                 };
-                let invertible = stream_bytes >= 1.0 || total_bytes == 0;
-                let feasible = invertible
-                    && predicted_secs <= b_adj
-                    && (streams == 0 || streams_needed <= streams as u64);
+                let feasible = predicted_secs <= b_adj
+                    && streams_needed.is_some_and(|n| streams == 0 || n <= streams as u64);
                 BackendEvaluation {
                     backend,
-                    predicted_secs,
-                    adjusted_budget_secs: b_adj,
+                    predicted_secs: Some(predicted_secs),
+                    adjusted_budget_secs: Some(b_adj),
                     stream_bytes,
                     streams_needed,
                     feasible,
@@ -420,22 +420,22 @@ pub fn plan_shuffle(
         evaluations.push(eval);
     }
 
-    // Cheapest feasible backend; fall back to the fastest overall. Ties
-    // break in canonical `ALL` order because the scan keeps the first min.
-    let pick = |evals: &[BackendEvaluation],
-                keep: &dyn Fn(&BackendEvaluation) -> bool,
-                score: &dyn Fn(&BackendEvaluation) -> f64| {
-        evals
+    // Cheapest feasible backend; fall back to the fastest with a fit, then
+    // to S3 (first in `ALL`). Ties break in canonical `ALL` order because
+    // the scan keeps the first min. `score` is `None` for a backend that
+    // does not compete.
+    let pick = |score: &dyn Fn(&BackendEvaluation) -> Option<f64>| {
+        evaluations
             .iter()
-            .filter(|e| keep(e))
-            .fold(None::<(f64, SharingBackend)>, |best, e| match best {
-                Some((s, _)) if s <= score(e) => best,
-                _ => Some((score(e), e.backend)),
+            .filter_map(|e| Some((score(e)?, e.backend)))
+            .fold(None::<(f64, SharingBackend)>, |best, (s, b)| match best {
+                Some((best_s, _)) if best_s <= s => best,
+                _ => Some((s, b)),
             })
             .map(|(_, b)| b)
     };
-    let backend = pick(&evaluations, &|e| e.feasible, &|e| e.transfer_cost)
-        .or_else(|| pick(&evaluations, &|_| true, &|e| e.predicted_secs))
+    let backend = pick(&|e| e.feasible.then_some(e.transfer_cost))
+        .or_else(|| pick(&|e| e.predicted_secs))
         .unwrap_or(SharingBackend::S3);
 
     ShufflePlan {
@@ -830,6 +830,19 @@ mod tests {
         let plan = plan_shuffle(&movements, 0.0, 0.1, 7);
         assert!(plan.evaluations.iter().all(|e| !e.feasible));
         assert_eq!(plan.backend, SharingBackend::S3, "unbounded S3 is fastest");
+    }
+
+    #[test]
+    fn uninvertible_budget_reports_no_stream_count() {
+        // No headroom: the fits predict a makespan but cannot be inverted
+        // for a positive per-stream capacity.
+        let movements: Vec<ShuffleMovement> =
+            (0..100).map(|i| mv(&format!("p{i}"), 50_000_000)).collect();
+        let plan = plan_shuffle(&movements, 0.0, 0.1, 7);
+        let ebs = &plan.evaluations[1];
+        assert!(ebs.predicted_secs.is_some(), "{ebs:?}");
+        assert_eq!((ebs.stream_bytes, ebs.streams_needed), (None, None));
+        assert!(!ebs.feasible);
     }
 
     #[test]
